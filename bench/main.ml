@@ -57,28 +57,43 @@ let tune_flag = ref false
 
 let table2_rows = lazy (Stats.Table2.compute ~tune:!tune_flag ())
 
-(* The interpreter hot path is supposed to be allocation-free: trace a
-   kernel into a discarding sink and report the minor-heap words each
-   access cost. Goes to stderr so the CI A/B diff of stdout across
-   replay modes is unaffected; the residue is the per-run setup
-   (closure compilation, chunk buffer), amortised over ~10^6 accesses. *)
+(* The interpreter hot path is supposed to be allocation-free: trace
+   into a discarding sink and report the minor-heap words each access
+   cost, on one large kernel and over the Table 4 workload (both
+   versions per row, N=32), where the per-run setup (closure
+   compilation, chunk buffer) is amortised over far fewer accesses per
+   program. Goes to stderr so the CI A/B diff of stdout across replay
+   modes is unaffected; CI gates both lines. *)
 let alloc_probe () =
   let module Trace = Locality_interp.Trace in
   let module Fastexec = Locality_interp.Fastexec in
-  let p = (List.assoc "matmul" Locality_suite.Kernels.all) 64 in
-  let silent_run () =
-    let rb = Trace.run_create ~sink:(fun _ -> ()) () in
-    let w0 = Gc.minor_words () in
-    ignore (Fastexec.run_traced_runs rb p);
-    let w1 = Gc.minor_words () in
-    (w1 -. w0, Trace.run_total rb)
+  let silent_run ?params programs =
+    List.fold_left
+      (fun (words, accesses) p ->
+        let rb = Trace.run_create ~sink:(fun _ -> ()) () in
+        let w0 = Gc.minor_words () in
+        ignore (Fastexec.run_traced_runs ?params rb p);
+        let w1 = Gc.minor_words () in
+        (words +. (w1 -. w0), accesses + Trace.run_total rb))
+      (0.0, 0) programs
   in
-  ignore (silent_run ());
-  let words, accesses = silent_run () in
-  Printf.eprintf "alloc: %.4f minor words/access (%d accesses, matmul n=64, \
-                  silent sink)\n%!"
-    (words /. float_of_int accesses)
-    accesses
+  let report what (words, accesses) =
+    Printf.eprintf
+      "alloc: %.4f minor words/access (%d accesses, %s, silent sink)\n%!"
+      (words /. float_of_int accesses)
+      accesses what
+  in
+  let matmul = [ (List.assoc "matmul" Locality_suite.Kernels.all) 64 ] in
+  ignore (silent_run matmul);
+  report "matmul n=64" (silent_run matmul);
+  let table4 =
+    List.concat_map
+      (fun (r : Stats.Table2.row) ->
+        if r.Stats.Table2.nests = 0 then []
+        else [ r.Stats.Table2.original; r.Stats.Table2.transformed ])
+      (Lazy.force table2_rows)
+  in
+  report "table4 suite N=32" (silent_run ~params:[ ("N", 32) ] table4)
 
 (* Capture the Table 4 workload (both program versions per row, same N)
    in one trace format and total the stream statistics. *)
@@ -553,8 +568,8 @@ let bechamel () =
    parallel the lazy is forced once up front: concurrent Lazy.force from
    several domains raises, and the rows are wanted by many consumers. *)
 let needs_table2 =
-  [ "table2"; "table4"; "table5"; "fig8"; "fig9"; "tracestats"; "analytic";
-    "sampleerr" ]
+  [ "table2"; "table4"; "table5"; "fig8"; "fig9"; "tracestats"; "alloc";
+    "analytic"; "sampleerr" ]
 
 let run_experiments ~jobs selected =
   if

@@ -28,8 +28,10 @@ let status = function
 
 (* Fixed-point float rendering keeps the bytes deterministic across
    callers; six decimals is the telemetry layer's precision and enough
-   for modelled seconds and speedups. *)
-let jfloat v = Printf.sprintf "%.6f" v
+   for modelled seconds and speedups. JSON has no NaN or infinity: a
+   non-finite value (the 0/0 speedup of a program with no accesses)
+   renders as null. *)
+let jfloat v = if Float.is_finite v then Printf.sprintf "%.6f" v else "null"
 
 let region_fields (r : Measure.region) =
   [

@@ -35,14 +35,15 @@ let kind_of_string = function
 
 type finding = { kind : kind; detail : string }
 
+(* Probed from pool workers, hence [Pool.once] rather than [lazy]. *)
 let compiler =
-  lazy
-    (List.find_opt
-       (fun cc ->
-         Sys.command (Printf.sprintf "command -v %s >/dev/null 2>&1" cc) = 0)
-       [ "cc"; "gcc"; "clang" ])
+  Locality_par.Pool.once (fun () ->
+      List.find_opt
+        (fun cc ->
+          Sys.command (Printf.sprintf "command -v %s >/dev/null 2>&1" cc) = 0)
+        [ "cc"; "gcc"; "clang" ])
 
-let cgen_available () = Lazy.force compiler <> None
+let cgen_available () = compiler () <> None
 
 let transform p =
   let cfg =
@@ -158,7 +159,7 @@ let interp_checksum p =
 
 (* Compile and run the generated C, returning its printed checksum. *)
 let run_c_checksum name csrc =
-  match Lazy.force compiler with
+  match compiler () with
   | None -> `No_compiler
   | Some cc ->
     let dir = Filename.get_temp_dir_name () in

@@ -48,7 +48,8 @@ type finding = {
 }
 
 val cgen_available : unit -> bool
-(** Whether a C compiler ([cc]/[gcc]/[clang]) is on [PATH]; memoised. *)
+(** Whether a C compiler ([cc]/[gcc]/[clang]) is on [PATH]; memoised,
+    and safe to call from several domains at once. *)
 
 val transform : Program.t -> (Program.t, string) result
 (** The program under the default {!Locality_driver.Driver} compound

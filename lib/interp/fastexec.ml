@@ -115,18 +115,42 @@ let rec deriv slots idx (e : Expr.t) : (ctx -> int) option =
       else None
     | Expr.Min _ | Expr.Max _ | Expr.Div _ -> None
 
-(* How the compiled program reports array accesses: not at all, through
-   the legacy per-access observer closure, appended to a batched trace
-   buffer, or appended to a run-compressed v2 buffer (both buffers
-   intern label ids once at compile time, so the hot path is a couple
-   of array stores — and qualifying innermost loops in run mode emit
-   one group descriptor per instance instead of touching the buffer
-   per access at all). *)
-type mode =
-  | Silent
-  | Observe of Exec.observer
-  | Buffer of Trace.t
-  | Runbuf of Trace.runbuf
+let rec divides (e : Expr.t) =
+  match e with
+  | Expr.Div _ -> true
+  | Expr.Int _ | Expr.Var _ -> false
+  | Expr.Neg a -> divides a
+  | Expr.Add (a, b)
+  | Expr.Sub (a, b)
+  | Expr.Mul (a, b)
+  | Expr.Min (a, b)
+  | Expr.Max (a, b) -> divides a || divides b
+
+(* Whether an integer value expression in [e] divides: of everything a
+   right-hand side evaluates, only an integer division can raise. *)
+let rec rexpr_divides (e : Stmt.rexpr) =
+  match e with
+  | Stmt.Const _ | Stmt.Scalar _ | Stmt.Load _ -> false
+  | Stmt.Iexpr ie -> divides ie
+  | Stmt.Unop (_, a) -> rexpr_divides a
+  | Stmt.Binop (_, a, b) -> rexpr_divides a || rexpr_divides b
+
+(* Floating-point operations one execution of the statement performs. *)
+let rec ops_of (e : Stmt.rexpr) =
+  match e with
+  | Stmt.Const _ | Stmt.Scalar _ | Stmt.Iexpr _ | Stmt.Load _ -> 0
+  | Stmt.Unop (_, a) -> 1 + ops_of a
+  | Stmt.Binop (_, a, b) -> 1 + ops_of a + ops_of b
+
+(* How the compiled program reports array accesses. The value modes
+   evaluate every expression over real arrays — they are the
+   full-execution reference — and report accesses not at all, through
+   the per-access observer closure, or appended to a batched v1 trace
+   buffer (label ids interned once at compile time). [Runbuf] is the
+   address-only mode behind every production measurement: see
+   [compile_stmt_addr]. *)
+type values = Silent | Observe of Exec.observer | Buffer of Trace.t
+type mode = Values of values | Runbuf of Trace.runbuf
 
 (* References of one statement in execution order: loads left-to-right
    as [compile_rexpr] evaluates them, then the store. *)
@@ -142,6 +166,45 @@ let stmt_refs_in_order (st : Stmt.t) =
   @ (match st.Stmt.lhs with
     | Stmt.Store r -> [ (st.Stmt.label, r, true) ]
     | Stmt.Scalar_set _ -> [])
+
+(* Run closures in order; the short cases avoid a per-call walk. *)
+let seq (fs : (ctx -> unit) list) : ctx -> unit =
+  match fs with
+  | [] -> fun _ -> ()
+  | [ f ] -> f
+  | [ f; g ] -> fun c -> f c; g c
+  | [ f; g; h ] -> fun c -> f c; g c; h c
+  | fs ->
+    let a = Array.of_list fs in
+    fun c ->
+      for k = 0 to Array.length a - 1 do
+        a.(k) c
+      done
+
+(* Run [body] for index values lb, lb+step, ... up to and including ub
+   (down to, for a negative step), leaving the index slot at the last
+   value taken. *)
+let run_range c islot ~step lb ub body =
+  let i = ref lb in
+  if step > 0 then
+    while !i <= ub do
+      c.ienv.(islot) <- !i;
+      body c;
+      i := !i + step
+    done
+  else
+    while !i >= ub do
+      c.ienv.(islot) <- !i;
+      body c;
+      i := !i + step
+    done
+
+let trip_count ~step lb ub =
+  if step > 0 then if lb > ub then 0 else ((ub - lb) / step) + 1
+  else if lb < ub then 0
+  else ((lb - ub) / -step) + 1
+
+let index_out_of_bounds () = invalid_arg "index out of bounds"
 
 let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
   let params =
@@ -160,17 +223,23 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
     | Some v -> v
     | None -> invalid_arg (Printf.sprintf "Fastexec: unbound parameter %s" x)
   in
+  (* [Layout.build] rejects non-positive extents and overflowing
+     sizes, so every element count below is positive. Only the value
+     modes materialize (and hash-initialize) the arrays. *)
   let layout = Layout.build ~param p.Program.decls in
   let data = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Decl.t) ->
-      let n = Layout.size_elements layout d.Decl.name in
-      Hashtbl.replace data d.Decl.name (Array.init n (init d.Decl.name)))
-    p.Program.decls;
+  (match mode with
+  | Values _ ->
+    List.iter
+      (fun (d : Decl.t) ->
+        let n = Layout.size_elements layout d.Decl.name in
+        Hashtbl.replace data d.Decl.name (Array.init n (init d.Decl.name)))
+      p.Program.decls
+  | Runbuf _ -> ());
   let slots = new_slots () in
   let sslots = new_slots () in
   List.iter (fun (x, _) -> ignore (slot_of slots x)) params;
-  (* Per-array strides (column-major) and base addresses. *)
+  (* Per-array strides (column-major), base addresses and sizes. *)
   let layout_strides = Hashtbl.create 16 in
   List.iter
     (fun (d : Decl.t) ->
@@ -180,18 +249,18 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
       List.iteri (fun k e -> if k < n - 1 then s.(k + 1) <- s.(k) * e) exts;
       let base = Layout.address layout d.Decl.name (Array.make n 1) in
       let elem = Layout.elem_size layout d.Decl.name in
-      Hashtbl.replace layout_strides d.Decl.name (s, base, elem))
+      let size = Layout.size_elements layout d.Decl.name in
+      Hashtbl.replace layout_strides d.Decl.name (s, base, elem, size))
     p.Program.decls;
-  (* Compile a reference into an (offset, address) pair of closures.
-     The offset closure is rank-specialized so the per-access path is a
-     pure arithmetic expression over preallocated subscript closures —
-     the general rank folds through a tail-recursive helper bound
-     outside the closure, so no list node, array or ref cell is
-     allocated per access. *)
+  (* Compile a reference into its flat-offset closure plus the array's
+     base address, element size and element count. The offset closure
+     is rank-specialized so the per-access path is a pure arithmetic
+     expression over preallocated subscript closures — the general rank
+     folds through a tail-recursive helper bound outside the closure,
+     so no list node, array or ref cell is allocated per access. *)
   let zero_sub = fun (_ : ctx) -> 0 in
   let compile_access (r : Reference.t) =
-    let arr = Hashtbl.find data r.Reference.array in
-    let s, base, elem = Hashtbl.find layout_strides r.Reference.array in
+    let s, base, elem, size = Hashtbl.find layout_strides r.Reference.array in
     let n = List.length r.Reference.subs in
     let fsubs = Array.make (max n 1) zero_sub in
     List.iteri (fun k e -> fsubs.(k) <- compile_expr slots e) r.Reference.subs;
@@ -216,12 +285,12 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
         in
         fun c -> go 0 0 c
     in
-    (arr, offset, base, elem)
+    (offset, base, elem, size)
   in
   (* Byte stride per loop iteration of a reference, as a loop-invariant
      closure — when every subscript is affine in [idx]. *)
   let compile_stride ~idx ~step (r : Reference.t) =
-    let s, _, elem = Hashtbl.find layout_strides r.Reference.array in
+    let s, _, elem, _ = Hashtbl.find layout_strides r.Reference.array in
     let rec go k (subs : Expr.t list) =
       match subs with
       | [] -> Some (fun _ -> 0)
@@ -236,6 +305,15 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
     | Some slope -> Some (fun c -> step * elem * slope c)
     | None -> None
   in
+  let compile_loop (l : Loop.t) body : ctx -> unit =
+    let h = l.Loop.header in
+    let islot = slot_of slots h.Loop.index in
+    let flb = compile_expr slots h.Loop.lb in
+    let fub = compile_expr slots h.Loop.ub in
+    let step = h.Loop.step in
+    fun c -> run_range c islot ~step (flb c) (fub c) body
+  in
+  (* ---------------------------------------------- value modes --- *)
   (* Expression evaluation is a stack machine over the preallocated
      [ctx.fstack]: every node stores its value into a destination slot
      and the closures return [unit], so no boxed float ever crosses an
@@ -256,7 +334,8 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
       let f = compile_expr slots ie in
       fun c -> c.fstack.(dst) <- float_of_int (f c)
     | Stmt.Load r -> (
-      let arr, offset, base, elem = compile_access r in
+      let offset, base, elem, _ = compile_access r in
+      let arr = Hashtbl.find data r.Reference.array in
       match mode with
       | Observe observer ->
         fun c ->
@@ -271,14 +350,6 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
           let off = offset c in
           c.accesses <- c.accesses + 1;
           Trace.record tr ~label:lid ~addr:(base + (off * elem)) ~write:false;
-          c.fstack.(dst) <- Array.get arr off
-      | Runbuf rb ->
-        let lid = Trace.run_intern rb label in
-        fun c ->
-          let off = offset c in
-          c.accesses <- c.accesses + 1;
-          Trace.run_record rb ~label:lid ~addr:(base + (off * elem))
-            ~write:false;
           c.fstack.(dst) <- Array.get arr off
       | Silent ->
         fun c ->
@@ -365,7 +436,8 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
     let rhs = compile_rexpr mode label ~dst:0 st.Stmt.rhs in
     match st.Stmt.lhs with
     | Stmt.Store r -> (
-      let arr, offset, base, elem = compile_access r in
+      let offset, base, elem, _ = compile_access r in
+      let arr = Hashtbl.find data r.Reference.array in
       match mode with
       | Observe observer ->
         fun c ->
@@ -386,16 +458,6 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
           c.accesses <- c.accesses + 1;
           Trace.record tr ~label:lid ~addr:(base + (off * elem)) ~write:true;
           Array.set arr off c.fstack.(0)
-      | Runbuf rb ->
-        let lid = Trace.run_intern rb label in
-        fun c ->
-          c.iterations <- c.iterations + 1;
-          rhs c;
-          let off = offset c in
-          c.accesses <- c.accesses + 1;
-          Trace.run_record rb ~label:lid ~addr:(base + (off * elem))
-            ~write:true;
-          Array.set arr off c.fstack.(0)
       | Silent ->
         fun c ->
           c.iterations <- c.iterations + 1;
@@ -411,84 +473,116 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
           observer.Exec.on_stmt ~label;
           rhs c;
           c.scalars.(i) <- c.fstack.(0)
-      | Buffer _ | Runbuf _ | Silent ->
+      | Buffer _ | Silent ->
         fun c ->
           c.iterations <- c.iterations + 1;
           rhs c;
           c.scalars.(i) <- c.fstack.(0))
   in
   let rec compile_block mode (b : Loop.block) : ctx -> unit =
-    let fns =
-      List.map
-        (function
-          | Loop.Stmt st -> compile_stmt mode st
-          | Loop.Loop l -> compile_loop mode l)
-        b
+    seq
+      (List.map
+         (function
+           | Loop.Stmt st -> compile_stmt mode st
+           | Loop.Loop l -> compile_loop l (compile_block mode l.Loop.body))
+         b)
+  in
+  (* ------------------------------------------ address-only mode --- *)
+  (* A statement computes the offset of each reference in evaluation
+     order, appends the access when [record] names a buffer, and then
+     bounds-checks it against the array's element count — the order
+     and the [Invalid_argument] the value modes' [Array.get] gives.
+     No float expression is evaluated: addresses depend only on integer
+     indices and parameters, and the statement's op count is a
+     compile-time constant. An integer value expression runs only when
+     it divides, so division by zero still raises where it would. *)
+  let compile_ref_addr ~record ~label ~write (r : Reference.t) =
+    let offset, base, elem, size = compile_access r in
+    match record with
+    | Some rb ->
+      let lid = Trace.run_intern rb label in
+      fun c ->
+        let off = offset c in
+        Trace.run_record rb ~label:lid ~addr:(base + (off * elem)) ~write;
+        if off < 0 || off >= size then index_out_of_bounds ()
+    | None ->
+      fun c ->
+        let off = offset c in
+        if off < 0 || off >= size then index_out_of_bounds ()
+  in
+  let compile_stmt_addr ~record (st : Stmt.t) : ctx -> unit =
+    let label = st.Stmt.label in
+    let rec events (e : Stmt.rexpr) acc =
+      match e with
+      | Stmt.Const _ | Stmt.Scalar _ -> acc
+      | Stmt.Iexpr ie ->
+        if divides ie then
+          let f = compile_expr slots ie in
+          (fun c -> ignore (f c : int)) :: acc
+        else acc
+      | Stmt.Load r -> compile_ref_addr ~record ~label ~write:false r :: acc
+      | Stmt.Unop (_, a) -> events a acc
+      | Stmt.Binop (_, a, b) -> events b (events a acc)
     in
-    match fns with
-    | [ f ] -> f
-    | [ f; g ] -> fun c -> f c; g c
-    | fns -> fun c -> List.iter (fun f -> f c) fns
-  and compile_loop mode (l : Loop.t) : ctx -> unit =
-    match mode with
-    | Runbuf rb -> (
-      match compile_run_loop rb l with
-      | Some f -> f
-      | None -> compile_loop_plain mode l)
-    | Silent | Observe _ | Buffer _ -> compile_loop_plain mode l
-  and compile_loop_plain mode (l : Loop.t) : ctx -> unit =
-    let h = l.Loop.header in
-    let islot = slot_of slots h.Loop.index in
-    let flb = compile_expr slots h.Loop.lb in
-    let fub = compile_expr slots h.Loop.ub in
-    let step = h.Loop.step in
-    let body = compile_block mode l.Loop.body in
-    if step > 0 then (fun c ->
-      let ub = fub c in
-      let i = ref (flb c) in
-      while !i <= ub do
-        c.ienv.(islot) <- !i;
-        body c;
-        i := !i + step
-      done)
-    else fun c ->
-      let ub = fub c in
-      let i = ref (flb c) in
-      while !i >= ub do
-        c.ienv.(islot) <- !i;
-        body c;
-        i := !i + step
-      done
+    let loads = List.rev (events st.Stmt.rhs []) in
+    let store =
+      match st.Stmt.lhs with
+      | Stmt.Store r -> [ compile_ref_addr ~record ~label ~write:true r ]
+      | Stmt.Scalar_set _ -> []
+    in
+    let body = seq (loads @ store) in
+    let ops = ops_of st.Stmt.rhs in
+    let accesses = List.length (stmt_refs_in_order st) in
+    fun c ->
+      c.iterations <- c.iterations + 1;
+      c.ops <- c.ops + ops;
+      c.accesses <- c.accesses + accesses;
+      body c
+  in
+  let rec compile_block_addr rb (b : Loop.block) : ctx -> unit =
+    seq
+      (List.map
+         (function
+           | Loop.Stmt st -> compile_stmt_addr ~record:(Some rb) st
+           | Loop.Loop l -> (
+             match compile_run_loop rb l with
+             | Some f -> f
+             | None -> compile_loop l (compile_block_addr rb l.Loop.body)))
+         b)
   (* An innermost loop (straight-line body, no inner control flow) whose
      references all advance by a loop-invariant byte stride compresses
      to one strided-run group per loop instance: the group descriptor is
      emitted at loop entry (base addresses and strides evaluated with
-     the index at its lower bound), and the body then runs with silent
-     accesses — replaying the group round-robin reproduces the exact
-     per-iteration interleaving the per-access trace would have had. *)
+     the index at its lower bound), and replaying the group round-robin
+     reproduces the exact per-iteration interleaving the per-access
+     trace would have had. Each offset is affine in the index, so its
+     values at the first and last iteration bound every iteration's:
+     when both are in bounds and nothing in the body divides, the
+     instance costs O(1) — the counters advance by [trip] times the
+     body's per-iteration counts and the index is left at its last
+     value. Otherwise the body runs iteration by iteration, address-only
+     and unrecorded, so an error surfaces at the same iteration with
+     the same message as under full execution. *)
   and compile_run_loop rb (l : Loop.t) : (ctx -> unit) option =
     let h = l.Loop.header in
     let idx = h.Loop.index in
     let step = h.Loop.step in
-    if
-      not
-        (List.for_all
-           (function Loop.Stmt _ -> true | Loop.Loop _ -> false)
-           l.Loop.body)
-    then None
+    let stmts =
+      List.filter_map
+        (function Loop.Stmt st -> Some st | Loop.Loop _ -> None)
+        l.Loop.body
+    in
+    if List.compare_lengths stmts l.Loop.body <> 0 then None
     else begin
-      let refs =
-        List.concat_map
-          (function
-            | Loop.Stmt st -> stmt_refs_in_order st
-            | Loop.Loop _ -> assert false)
-          l.Loop.body
-      in
+      let refs = List.concat_map stmt_refs_in_order stmts in
       (* One pass straight into flat preallocated arrays — no Option
          triple list, no Array.of_list temporaries. *)
       let n = List.length refs in
       let packed = Array.make (max n 1) 0 in
-      let addr_fns = Array.make (max n 1) zero_sub in
+      let offsets = Array.make (max n 1) zero_sub in
+      let bases = Array.make (max n 1) 0 in
+      let elems = Array.make (max n 1) 0 in
+      let sizes = Array.make (max n 1) 0 in
       let stride_fns = Array.make (max n 1) zero_sub in
       let qualifies = ref true in
       List.iteri
@@ -496,10 +590,13 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
           if !qualifies then
             match compile_stride ~idx ~step r with
             | Some stride_fn ->
-              let _, offset, base, elem = compile_access r in
+              let offset, base, elem, size = compile_access r in
               packed.(j) <-
                 Chunk.pack ~addr:0 ~write ~label:(Trace.run_intern rb label);
-              addr_fns.(j) <- (fun c -> base + (offset c * elem));
+              offsets.(j) <- offset;
+              bases.(j) <- base;
+              elems.(j) <- elem;
+              sizes.(j) <- size;
               stride_fns.(j) <- stride_fn
             | None -> qualifies := false)
         refs;
@@ -507,51 +604,62 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
       else begin
         (* Scratch reused across instances: one compiled loop never
            re-enters itself (no recursion, one ctx per run). *)
-        let bases = Array.make (max n 1) 0 in
+        let bases_rt = Array.make (max n 1) 0 in
         let strides_rt = Array.make (max n 1) 0 in
+        let rec in_bounds c j =
+          j = n
+          ||
+          let off = offsets.(j) c in
+          off >= 0 && off < sizes.(j) && in_bounds c (j + 1)
+        in
+        let body_ops =
+          List.fold_left (fun acc st -> acc + ops_of st.Stmt.rhs) 0 stmts
+        in
+        let body_stmts = List.length stmts in
+        let body_divides =
+          List.exists (fun st -> rexpr_divides st.Stmt.rhs) stmts
+        in
         let islot = slot_of slots idx in
         let flb = compile_expr slots h.Loop.lb in
         let fub = compile_expr slots h.Loop.ub in
-        let body = compile_block Silent l.Loop.body in
+        let body = seq (List.map (compile_stmt_addr ~record:None) stmts) in
         Some
           (fun c ->
             let lb = flb c in
             let ub = fub c in
-            let trip =
-              if step > 0 then if lb > ub then 0 else ((ub - lb) / step) + 1
-              else if lb < ub then 0
-              else ((lb - ub) / -step) + 1
-            in
+            let trip = trip_count ~step lb ub in
             if trip > 0 then begin
+              c.ienv.(islot) <- lb;
               if n > 0 then begin
-                c.ienv.(islot) <- lb;
                 for j = 0 to n - 1 do
-                  bases.(j) <- addr_fns.(j) c;
+                  bases_rt.(j) <- bases.(j) + (offsets.(j) c * elems.(j));
                   strides_rt.(j) <- stride_fns.(j) c
                 done;
-                Trace.run_group rb ~trip ~packed ~bases ~strides:strides_rt n
+                Trace.run_group rb ~trip ~packed ~bases:bases_rt
+                  ~strides:strides_rt n
               end;
-              if step > 0 then begin
-                let i = ref lb in
-                while !i <= ub do
-                  c.ienv.(islot) <- !i;
-                  body c;
-                  i := !i + step
-                done
+              let bounded =
+                (not body_divides)
+                && in_bounds c 0
+                &&
+                (c.ienv.(islot) <- lb + ((trip - 1) * step);
+                 in_bounds c 0)
+              in
+              if bounded then begin
+                c.iterations <- c.iterations + (trip * body_stmts);
+                c.ops <- c.ops + (trip * body_ops);
+                c.accesses <- c.accesses + (trip * n)
               end
-              else begin
-                let i = ref lb in
-                while !i >= ub do
-                  c.ienv.(islot) <- !i;
-                  body c;
-                  i := !i + step
-                done
-              end
+              else run_range c islot ~step lb ub body
             end)
       end
     end
   in
-  let main = compile_block mode p.Program.body in
+  let main =
+    match mode with
+    | Values v -> compile_block v p.Program.body
+    | Runbuf rb -> compile_block_addr rb p.Program.body
+  in
   (* Bound the slot count: compile touched every variable. *)
   let nints = max 1 (Hashtbl.length slots.tbl) in
   let nscal = max 1 (Hashtbl.length sslots.tbl) in
@@ -568,14 +676,17 @@ let exec ~mode ?(init = Exec.default_init) ?params (p : Program.t) =
   List.iter (fun (x, v) -> ctx.ienv.(Hashtbl.find slots.tbl x) <- v) params;
   main ctx;
   (match mode with
-  | Buffer tr -> Trace.flush tr
+  | Values (Buffer tr) -> Trace.flush tr
   | Runbuf rb -> Trace.run_flush rb
-  | Observe _ | Silent -> ());
+  | Values (Observe _ | Silent) -> ());
   {
     arrays =
-      List.map
-        (fun (d : Decl.t) -> (d.Decl.name, Hashtbl.find data d.Decl.name))
-        p.Program.decls;
+      (match mode with
+      | Values _ ->
+        List.map
+          (fun (d : Decl.t) -> (d.Decl.name, Hashtbl.find data d.Decl.name))
+          p.Program.decls
+      | Runbuf _ -> []);
     ops = ctx.ops;
     accesses = ctx.accesses;
     iterations = ctx.iterations;
@@ -585,8 +696,9 @@ let run ?(observer = Exec.null_observer) ?init ?params p =
   let mode =
     if observer == Exec.null_observer then Silent else Observe observer
   in
-  exec ~mode ?init ?params p
+  exec ~mode:(Values mode) ?init ?params p
 
-let run_traced ?init ?params tr p = exec ~mode:(Buffer tr) ?init ?params p
+let run_traced ?init ?params tr p =
+  exec ~mode:(Values (Buffer tr)) ?init ?params p
 
-let run_traced_runs ?init ?params rb p = exec ~mode:(Runbuf rb) ?init ?params p
+let run_traced_runs ?params rb p = exec ~mode:(Runbuf rb) ?params p

@@ -36,6 +36,14 @@ let hit_rate ?exclude_cold r =
    the choice is purely a performance knob: MEMORIA_REPLAY=per-access
    forces v1, anything else (including unset) captures v2.
 
+   Every v2 capture (runs, stream, sample, and the analytic fallback)
+   runs Fastexec's address-only executor: an address depends only on
+   integer indices and parameters, so no array is allocated, no value
+   is computed, ops are counted from the statements' structure, and a
+   qualifying innermost-loop instance costs O(1). The v1 capture still
+   executes every value, so comparing per-access with runs also checks
+   the structural counts against full execution.
+
    Two modes skip materialising the trace. MEMORIA_REPLAY=stream fuses
    capture and simulation: the interpreter's run-chunk sink calls
    Cache.simulate_runs on each chunk as it fills, so peak trace memory

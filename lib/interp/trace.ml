@@ -108,10 +108,14 @@ type runbuf = {
   mutable rwords : int;  (* stream words emitted *)
 }
 
+(* The working chunk starts at the minor heap's largest block and
+   doubles up to [rcap] before the first flush (see [run_reserve]). *)
+let initial_chunk_words = 256
+
 let run_create ?(chunk_words = default_chunk_records) ~sink () =
   {
     rcap = chunk_words;
-    rchunk = Runchunk.create chunk_words;
+    rchunk = Runchunk.create (min chunk_words initial_chunk_words);
     rsink = sink;
     rnames = Interner.create ();
     rtotal = 0;
@@ -128,8 +132,24 @@ let run_flush t =
     Runchunk.reset t.rchunk
   end
 
+(* Make room for [need] words. Most captures are far smaller than a
+   full chunk, and a fresh full-size chunk per capture is the bulk of a
+   busy daemon's major-heap allocation (and so of its major GC cycles),
+   so the working chunk grows geometrically and flushes only once it is
+   full-size: chunk boundaries are those of a full-size chunk. *)
+let rec run_reserve t need =
+  let c = t.rchunk in
+  if Runchunk.room c < need then
+    if Runchunk.capacity c < t.rcap then begin
+      let data = Array.make (min t.rcap (2 * Runchunk.capacity c)) 0 in
+      Array.blit c.Runchunk.data 0 data 0 c.Runchunk.len;
+      t.rchunk <- { c with Runchunk.data };
+      run_reserve t need
+    end
+    else run_flush t
+
 let run_record t ~label ~addr ~write =
-  if Runchunk.room t.rchunk = 0 then run_flush t;
+  run_reserve t 1;
   Runchunk.push_access t.rchunk (Chunk.pack ~addr ~write ~label);
   t.rtotal <- t.rtotal + 1;
   t.rwords <- t.rwords + 1
@@ -146,7 +166,7 @@ let run_group t ~trip ~packed ~bases ~strides n =
     if need > t.rcap || trip > Runchunk.max_trip then begin
       for it = 0 to trip - 1 do
         for j = 0 to n - 1 do
-          if Runchunk.room t.rchunk = 0 then run_flush t;
+          run_reserve t 1;
           let addr = bases.(j) + (it * strides.(j)) in
           if addr < 0 || addr > Chunk.max_addr then
             invalid_arg "Trace.run_group: address out of range";
@@ -157,7 +177,7 @@ let run_group t ~trip ~packed ~bases ~strides n =
       t.rtotal <- t.rtotal + (trip * n)
     end
     else begin
-      if Runchunk.room t.rchunk < need then run_flush t;
+      run_reserve t need;
       Runchunk.push_group t.rchunk ~trip ~packed ~bases ~strides n;
       t.rtotal <- t.rtotal + (trip * n);
       t.rruns <- t.rruns + 1;

@@ -72,7 +72,10 @@ type runbuf
 
 val run_create :
   ?chunk_words:int -> sink:(Runchunk.t -> unit) -> unit -> runbuf
-(** Same sink-borrowing contract as {!create}. *)
+(** Same sink-borrowing contract as {!create}. The working chunk starts
+    small and doubles up to [chunk_words] words, and is flushed only
+    when full at that size, so chunk boundaries do not depend on the
+    growth. *)
 
 val run_intern : runbuf -> string -> int
 val run_labels : runbuf -> string array

@@ -33,6 +33,24 @@ let in_worker = Domain.DLS.new_key (fun () -> false)
 
 module Obs = Locality_obs.Obs
 
+(* [Lazy.force] is not domain-safe on OCaml 5: a second domain forcing
+   a suspension another is still computing gets [Lazy.Undefined]. The
+   first caller computes under the mutex; later ones read the value. *)
+let once f =
+  let m = Mutex.create () in
+  let v = Atomic.make None in
+  fun () ->
+    match Atomic.get v with
+    | Some x -> x
+    | None ->
+      Mutex.protect m (fun () ->
+          match Atomic.get v with
+          | Some x -> x
+          | None ->
+            let x = f () in
+            Atomic.set v (Some x);
+            x)
+
 let map_array ?jobs f items =
   let n = Array.length items in
   let jobs =

@@ -31,6 +31,12 @@ val jobs_env : string
 
 val default_jobs : unit -> int
 
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] is [f] memoized for use from any domain: the first call
+    runs [f], concurrent first calls wait for it, later calls return the
+    cached value (a [lazy] would raise [Lazy.Undefined] when two domains
+    force it at once). Nothing is cached if [f] raises. *)
+
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] is [List.map f items], computed by up to [jobs]
     domains. An exception raised by [f] aborts the map and is re-raised

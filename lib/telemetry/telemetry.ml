@@ -20,20 +20,19 @@ let enabled () = env_enabled && Store.default () <> None
 let dir store = Filename.concat (Store.root store) "telemetry"
 
 (* Best-effort `git describe` so records say what code produced them;
-   one lazy subprocess per process, "unknown" anywhere git isn't. *)
-let git_version =
-  lazy
-    (try
-       let ic =
-         Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-       in
-       let line = try input_line ic with End_of_file -> "" in
-       match (Unix.close_process_in ic, line) with
-       | Unix.WEXITED 0, line when line <> "" -> line
-       | _ -> "unknown"
-     with _ -> "unknown")
-
-let git_describe () = Lazy.force git_version
+   one subprocess per process, "unknown" anywhere git isn't. Callable
+   from any domain (a [lazy] is not). *)
+let git_describe =
+  Locality_par.Pool.once (fun () ->
+      try
+        let ic =
+          Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+        in
+        let line = try input_line ic with End_of_file -> "" in
+        match (Unix.close_process_in ic, line) with
+        | Unix.WEXITED 0, line when line <> "" -> line
+        | _ -> "unknown"
+      with _ -> "unknown")
 
 let now_epoch_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 

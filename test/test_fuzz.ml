@@ -78,6 +78,31 @@ let test_corpus_replay () =
              (List.map (fun f -> f.Fuzz.Oracle.detail) findings)))
     entries
 
+(* The harness probes for a C compiler (and telemetry for the git
+   version) from pool workers, so two domains may force a memoized probe
+   at once; a [lazy] raises [Lazy.Undefined] there. Each round forces a
+   fresh probe, so every round races on a first force, and the real
+   probes alongside it. *)
+let test_probes_domain_safe () =
+  for round = 1 to 100 do
+    let calls = Atomic.make 0 in
+    let probe =
+      Locality_par.Pool.once (fun () ->
+          Atomic.incr calls;
+          Unix.sleepf 0.0002;
+          round)
+    in
+    let force () =
+      ( probe (),
+        Fuzz.Oracle.cgen_available (),
+        Locality_telemetry.Telemetry.git_describe () )
+    in
+    let d1 = Domain.spawn force and d2 = Domain.spawn force in
+    let r1 = Domain.join d1 and r2 = Domain.join d2 in
+    checkb "both domains see the same values" true (r1 = r2);
+    checki "probe computed once" 1 (Atomic.get calls)
+  done
+
 let suite =
   [
     ("generator determinism", `Quick, test_gen_deterministic);
@@ -87,4 +112,5 @@ let suite =
       `Quick,
       test_campaign_clean_and_jobs_independent );
     ("corpus replay", `Quick, test_corpus_replay);
+    ("memoized probes forced from 2 domains", `Quick, test_probes_domain_safe);
   ]

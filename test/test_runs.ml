@@ -150,6 +150,25 @@ let test_matmul_emits_groups () =
   Alcotest.(check bool) "stream smaller than records" true
     (cap.Trace.run_stream_words < cap.Trace.run_records)
 
+(* The working chunk grows before its first flush but flushes only at
+   full size: every chunk but the last is within one group of the
+   capacity. *)
+let test_chunks_flush_when_full () =
+  let p = Kernels.matmul ~order:"IJK" 48 in
+  let cap = 4096 in
+  let rb, finish = Trace.run_capturing ~chunk_words:cap () in
+  ignore (Fastexec.run_traced_runs rb p);
+  let chunks = (finish ()).Trace.run_chunks in
+  Alcotest.(check bool) "several chunks" true (List.length chunks > 2);
+  List.iteri
+    (fun k rc ->
+      if k < List.length chunks - 1 then
+        Alcotest.(check bool)
+          (Printf.sprintf "chunk %d flushed full" k)
+          true
+          (Runchunk.words rc > cap - Runchunk.group_words ~nrefs:4))
+    chunks
+
 let test_nonaffine_falls_back () =
   (* A subscript quadratic in the innermost index cannot be a strided
      run: no groups, but the expanded stream is still identical. *)
@@ -229,6 +248,144 @@ let test_downward_loop_qualifies () =
   let cap = finish () in
   Alcotest.(check bool) "groups emitted" true (cap.Trace.run_groups > 0);
   check_program "reversed" p
+
+(* ------------------------------------------- address-only parity --- *)
+
+(* [run_traced_runs] computes addresses and counts without executing
+   values; the value-executing [Fastexec.run] and the tree-walking
+   [Exec.run] are its references. Streams are compared by an
+   order-sensitive digest folded as the chunks arrive, so N=32 traces
+   need not be held in memory. *)
+type digest = { mutable records : int; mutable h1 : int; mutable h2 : int }
+
+let absorb d ~label ~addr ~write =
+  let x = (((addr * 2) + Bool.to_int write) * 4099) + label in
+  d.records <- d.records + 1;
+  d.h1 <- (d.h1 * 1_000_003) + x;
+  d.h2 <- (d.h2 * 998_244_353) lxor x
+
+type outcome = {
+  counts : (int * int * int, string) result;  (** ops, accesses, iterations *)
+  stream : int * int * int;
+  labels : string array;
+}
+
+let guarded f =
+  match f () with
+  | ops, accesses, iterations -> Ok (ops, accesses, iterations)
+  | exception e -> Error (Printexc.to_string e)
+
+let runs_outcome p =
+  let d = { records = 0; h1 = 0; h2 = 0 } in
+  let rb = Trace.run_create ~sink:(fun rc -> Runchunk.iter rc (absorb d)) () in
+  let counts =
+    guarded (fun () ->
+        let r = Fastexec.run_traced_runs rb p in
+        (r.Fastexec.ops, r.Fastexec.accesses, r.Fastexec.iterations))
+  in
+  { counts; stream = (d.records, d.h1, d.h2); labels = Trace.run_labels rb }
+
+let per_access_outcome p =
+  let d = { records = 0; h1 = 0; h2 = 0 } in
+  let tr = Trace.create ~sink:(Chunk.iter (absorb d)) () in
+  let counts =
+    guarded (fun () ->
+        let r = Fastexec.run_traced tr p in
+        (r.Fastexec.ops, r.Fastexec.accesses, r.Fastexec.iterations))
+  in
+  { counts; stream = (d.records, d.h1, d.h2); labels = Trace.labels tr }
+
+let counts_t =
+  Alcotest.(result (triple int int int) string)
+
+let check_address_only name p =
+  let runs = runs_outcome p in
+  let fast =
+    guarded (fun () ->
+        let r = Fastexec.run p in
+        (r.Fastexec.ops, r.Fastexec.accesses, r.Fastexec.iterations))
+  in
+  let tree =
+    guarded (fun () ->
+        let r = Locality_interp.Exec.run p in
+        Locality_interp.Exec.(r.ops, r.accesses, r.iterations))
+  in
+  Alcotest.check counts_t (name ^ ": counts = Fastexec.run") fast runs.counts;
+  Alcotest.check counts_t (name ^ ": counts = Exec.run") tree runs.counts;
+  if Result.is_ok runs.counts then begin
+    let v1 = per_access_outcome p in
+    Alcotest.(check (array string)) (name ^ ": labels") v1.labels runs.labels;
+    Alcotest.(check (triple int int int))
+      (name ^ ": expanded stream = v1 records") v1.stream runs.stream
+  end
+
+let test_address_only_suite () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (e : Programs.entry) ->
+          check_address_only
+            (Printf.sprintf "%s N=%d" e.Programs.name n)
+            (Programs.program_of ~n e))
+        Programs.all)
+    [ 8; 32 ]
+
+let test_address_only_fuzz () =
+  for index = 0 to 199 do
+    check_address_only
+      (Printf.sprintf "fuzz %d" index)
+      (Locality_fuzz.Gen.generate ~seed:42 ~index ~size:24)
+  done
+
+(* An address-only run fails with the same message as the
+   value-executing per-access capture, at the last iteration of a run
+   loop, in a loop without a run group, on an integer division by zero
+   and on a non-positive extent. *)
+let test_address_only_errors () =
+  let module Driver = Locality_driver.Driver in
+  let open Builder in
+  let n = v "N" in
+  let arrays = [ ("A", [ n ]); ("B", [ n ]) ] in
+  let one_loop name ?(arrays = arrays) body =
+    program name ~params:[ ("N", 32) ] ~arrays [ do_ "I" (i 1) n [ body ] ]
+  in
+  let oob = "Invalid_argument(\"index out of bounds\")" in
+  let cases =
+    [
+      (* The run loop's last iteration writes A(N+1). *)
+      ( one_loop "oob_last"
+          (asn (r "A" [ v "I" +$ i 1 ]) (ld "B" [ v "I" ] +! f 1.0)),
+        "oob_last: " ^ oob );
+      (* A quadratic subscript: no run group, per-access records. *)
+      ( one_loop "oob_quad"
+          (asn (r "A" [ v "I" *$ v "I" ]) (ld "B" [ v "I" ] +! f 1.0)),
+        "oob_quad: " ^ oob );
+      ( one_loop "div_i3"
+          (asn (r "A" [ v "I" ])
+             (ld "B" [ v "I" ] +! idx (Expr.Div (n, v "I" -$ i 3)))),
+        "div_i3: Invalid_argument(\"Fastexec: division by zero\")" );
+      ( one_loop "neg_extent" ~arrays:[ ("A", [ n -$ i 40 ]) ]
+          (asn (r "A" [ v "I" ]) (f 1.0)),
+        "neg_extent: Invalid_argument(\"Layout.build: non-positive extent \
+         in A\")" );
+    ]
+  in
+  List.iter
+    (fun (p, expected) ->
+      List.iter
+        (fun replay ->
+          let cfg =
+            Driver.config ~transform:Driver.Keep ~machines:[ Machine.cache1 ]
+              ~replay ~store:None
+              (Driver.Source_program { name = p.Program.name; program = p })
+          in
+          Alcotest.(check (result reject string))
+            (Printf.sprintf "%s under %s" p.Program.name
+               (Measure.mode_to_string replay))
+            (Error expected)
+            (Result.map ignore (Driver.run cfg)))
+        [ Measure.Runs; Measure.Per_access; Measure.Stream ])
+    cases
 
 (* --------------------------------------------------------- fuzzing --- *)
 
@@ -442,6 +599,8 @@ let suite =
     Alcotest.test_case "measure: both modes identical" `Quick
       test_measure_modes_identical;
     Alcotest.test_case "matmul emits groups" `Quick test_matmul_emits_groups;
+    Alcotest.test_case "chunks flush only when full" `Quick
+      test_chunks_flush_when_full;
     Alcotest.test_case "non-affine subscript falls back" `Quick
       test_nonaffine_falls_back;
     Alcotest.test_case "min subscript falls back" `Quick
@@ -452,6 +611,12 @@ let suite =
       test_downward_loop_qualifies;
     Alcotest.test_case "hit rate of an all-cold run is 0" `Quick
       test_hit_rate_all_cold;
+    Alcotest.test_case "address-only: 35 programs at N=8 and N=32" `Slow
+      test_address_only_suite;
+    Alcotest.test_case "address-only: 200 fuzz programs" `Quick
+      test_address_only_fuzz;
+    Alcotest.test_case "address-only: errors match full execution" `Quick
+      test_address_only_errors;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_fuzz_all_paths_agree; prop_runchunk_roundtrip ]

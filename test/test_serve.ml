@@ -209,6 +209,32 @@ let test_error_format () =
     check_int "source name appears exactly once" 1 occurrences
   | Ok _ -> Alcotest.fail "parse error ran"
 
+(* Suite [buk] has no array accesses, so both versions model zero
+   cycles and the speedup is 0/0. The reply must still be valid JSON,
+   with the non-finite speedup as null. *)
+let test_nonfinite_speedup_json () =
+  let module Jsonin = Locality_telemetry.Jsonin in
+  let line =
+    Response.to_json
+      (Response.of_run ~id:"buk"
+         (run_req
+            (Request.make ~n:32 ~store:Request.No_store
+               ~machines:[ Request.Named "cache1"; Request.Named "cache2" ]
+               (Request.Suite "buk"))))
+  in
+  match Jsonin.parse_opt line with
+  | None -> Alcotest.failf "buk reply is not valid JSON: %s" line
+  | Some doc ->
+    check "status ok" true
+      (Jsonin.member "status" doc = Some (Jsonin.Str "ok"));
+    let speedups =
+      match Jsonin.member "measured" doc with
+      | Some (Jsonin.List ms) -> List.map (Jsonin.member "speedup") ms
+      | _ -> []
+    in
+    check "one null speedup per machine" true
+      (speedups = [ Some Jsonin.Null; Some Jsonin.Null ])
+
 (* The per-request SHARDS rate is config state, not process state: an
    explicit rate changes that request's sampled estimate, and leaves
    nothing behind for the next request to inherit — the property that
@@ -492,6 +518,7 @@ let suite =
     ("request: reader survives seed-stream fuzz", `Quick, test_fuzz_reader);
     ("driver: error format is stable", `Quick, test_error_format);
     ("driver: sample rate is per-request, never sticky", `Slow, test_rate_isolation);
+    ("response: non-finite speedup renders as null", `Quick, test_nonfinite_speedup_json);
     ( "serve: concurrent clients = direct bytes, cold and warm",
       `Slow,
       test_concurrent_identity );
