@@ -80,17 +80,17 @@ let nest_ctx ~pos (l : Loop.t) =
   in
   match Obs.current_ctx () with "" -> own | parent -> parent ^ "/" ^ own
 
-let rec optimize_nest ~cls ~try_reversal ?interference_limit ~outer ~pos
+let rec optimize_nest ~memo ~cls ~try_reversal ?interference_limit ~outer ~pos
     (l : Loop.t) : Loop.t list * stats =
   if Obs.enabled () then
     Obs.with_ctx (nest_ctx ~pos l) (fun () ->
-        do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer l)
-  else do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer l
+        do_optimize_nest ~memo ~cls ~try_reversal ?interference_limit ~outer l)
+  else do_optimize_nest ~memo ~cls ~try_reversal ?interference_limit ~outer l
 
-and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
+and do_optimize_nest ~memo ~cls ~try_reversal ?interference_limit ~outer
     (l : Loop.t) : Loop.t list * stats =
   let deps =
-    Obs.span "dep" (fun () -> An.deps_in_nest ~include_input:true l)
+    Obs.span "dep" (fun () -> An.deps_in_nest ~memo ~include_input:true l)
   in
   let mo = Memorder.compute ~deps ~cls l in
   let orig_mem = Memorder.is_memory_order mo in
@@ -103,7 +103,9 @@ and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
     (* One Memorder per result nest, shared by the final_* flags and the
        final cost; the unchanged nest reuses the ranking from above. *)
     let mos =
-      List.map (fun n -> if n == l then mo else Memorder.compute ~cls n) nests
+      List.map
+        (fun n -> if n == l then mo else Memorder.compute ~memo ~cls n)
+        nests
     in
     let final_mem = List.for_all Memorder.is_memory_order mos in
     let final_inner = List.for_all Memorder.inner_is_best mos in
@@ -181,7 +183,7 @@ and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
       let fusion_attempt =
         if Loop.is_perfect l then None
         else
-          match Fusion.fuse_all_inner ~cls l with
+          match Fusion.fuse_all_inner ~cls ~memo l with
           | None ->
             if Obs.enabled () then
               Obs.instant "fusion.enabling"
@@ -193,7 +195,7 @@ and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
                   ];
             None
           | Some fused ->
-            let po2 = Permute.run ~cls ~try_reversal fused in
+            let po2 = Permute.run ~cls ~try_reversal ~memo fused in
             if
               po2.Permute.inner_ok
               && (po2.Permute.status = Permute.Permuted
@@ -226,10 +228,10 @@ and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
           ~extra:empty_stats [ po2.Permute.nest ]
       | None -> (
         (* Try distribution; re-fuse the pieces afterwards. *)
-        match Distribution.run ~cls ~try_reversal l with
+        match Distribution.run ~cls ~try_reversal ~memo l with
         | Some res ->
           let refused, fstats =
-            refuse_pieces ~cls ~try_reversal ?interference_limit ~outer
+            refuse_pieces ~memo ~cls ?interference_limit ~outer
               res.Distribution.nests
           in
           finish ~distributed:true ~new_nests:res.Distribution.partitions
@@ -270,7 +272,7 @@ and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
               ~action ~reason ~extra:empty_stats [ base ]
           else
             let body', inner_stats =
-              run_block ~cls ~try_reversal ?interference_limit
+              run_block ~memo ~cls ~try_reversal ?interference_limit
                 ~outer:(outer @ [ base.Loop.header ])
                 base.Loop.body
             in
@@ -284,13 +286,12 @@ and do_optimize_nest ~cls ~try_reversal ?interference_limit ~outer
 
 (* Fuse adjacent nests produced by distribution to recover temporal
    locality (the Fuse(l) step of Figure 6). *)
-and refuse_pieces ~cls ~try_reversal ?interference_limit ~outer nests =
-  ignore try_reversal;
+and refuse_pieces ~memo ~cls ?interference_limit ~outer nests =
   match nests with
   | [] | [ _ ] -> (nests, empty_stats)
   | _ :: _ :: _ ->
     let fr =
-      Fusion.fuse_block ~cls ?interference_limit ~outer
+      Fusion.fuse_block ~cls ~memo ?interference_limit ~outer
         (List.map (fun n -> Loop.Loop n) nests)
     in
     let nests' =
@@ -310,9 +311,12 @@ and refuse_pieces ~cls ~try_reversal ?interference_limit ~outer nests =
    those downward too, so a single pass of the driver reaches the same
    fixpoint a second pass would. No permutation is revisited: the merged
    nest's memory order was already decided. *)
-and fuse_downward ~cls ?interference_limit ~outer (l : Loop.t) =
+and fuse_downward ~memo ~cls ?interference_limit ~outer (l : Loop.t) =
   let inner_outer = outer @ [ l.Loop.header ] in
-  let fr = Fusion.fuse_block ~cls ?interference_limit ~outer:inner_outer l.Loop.body in
+  let fr =
+    Fusion.fuse_block ~cls ~memo ?interference_limit ~outer:inner_outer
+      l.Loop.body
+  in
   let body', candidates, fused =
     List.fold_left
       (fun (acc, c, f) node ->
@@ -320,7 +324,8 @@ and fuse_downward ~cls ?interference_limit ~outer (l : Loop.t) =
         | Loop.Stmt _ -> (acc @ [ node ], c, f)
         | Loop.Loop sub ->
           let sub', c', f' =
-            fuse_downward ~cls ?interference_limit ~outer:inner_outer sub
+            fuse_downward ~memo ~cls ?interference_limit ~outer:inner_outer
+              sub
           in
           (acc @ [ Loop.Loop sub' ], c + c', f + f'))
       ([], fr.Fusion.candidates, fr.Fusion.fused)
@@ -328,7 +333,7 @@ and fuse_downward ~cls ?interference_limit ~outer (l : Loop.t) =
   in
   ({ l with Loop.body = body' }, candidates, fused)
 
-and run_block ?(cls = 4) ?(try_reversal = true) ?interference_limit ~outer
+and run_block ~memo ~cls ~try_reversal ?interference_limit ~outer
     (b : Loop.block) =
   (* Optimize each nest in place. *)
   let optimized, stats, _ =
@@ -338,7 +343,8 @@ and run_block ?(cls = 4) ?(try_reversal = true) ?interference_limit ~outer
         | Loop.Stmt s -> (acc @ [ Loop.Stmt s ], stats, pos + 1)
         | Loop.Loop l when Loop.depth l >= 2 ->
           let nests, s =
-            optimize_nest ~cls ~try_reversal ?interference_limit ~outer ~pos l
+            optimize_nest ~memo ~cls ~try_reversal ?interference_limit ~outer
+              ~pos l
           in
           ( acc @ List.map (fun n -> Loop.Loop n) nests,
             merge_stats stats s,
@@ -348,7 +354,7 @@ and run_block ?(cls = 4) ?(try_reversal = true) ?interference_limit ~outer
   in
   (* Final pass: fuse adjacent optimized nests when profitable, then
      complete any fusions the merges exposed deeper inside. *)
-  let fr = Fusion.fuse_block ~cls ?interference_limit ~outer optimized in
+  let fr = Fusion.fuse_block ~cls ~memo ?interference_limit ~outer optimized in
   let block, extra_candidates, extra_fused =
     if fr.Fusion.fused = 0 then (fr.Fusion.block, 0, 0)
     else
@@ -357,7 +363,9 @@ and run_block ?(cls = 4) ?(try_reversal = true) ?interference_limit ~outer
           match node with
           | Loop.Stmt _ -> (acc @ [ node ], c, f)
           | Loop.Loop l ->
-            let l', c', f' = fuse_downward ~cls ?interference_limit ~outer l in
+            let l', c', f' =
+              fuse_downward ~memo ~cls ?interference_limit ~outer l
+            in
             (acc @ [ Loop.Loop l' ], c + c', f + f'))
         ([], 0, 0) fr.Fusion.block
   in
@@ -372,13 +380,22 @@ and run_block ?(cls = 4) ?(try_reversal = true) ?interference_limit ~outer
 let run_program ?(cls = 4) ?(try_reversal = true) ?interference_limit
     (p : Program.t) =
   Obs.span "compound" (fun () ->
+      (* One dependence memo per run: every query below shares it, and it
+         is dropped on return (see Analysis.memo). *)
+      let memo = An.create_memo () in
       let body, stats =
-        run_block ~cls ~try_reversal ?interference_limit ~outer:[]
+        run_block ~memo ~cls ~try_reversal ?interference_limit ~outer:[]
           p.Program.body
       in
       if Obs.enabled () then begin
+        let hits = Locality_dep.Depend.memo_hits memo
+        and misses = Locality_dep.Depend.memo_misses memo in
+        Obs.counter "dep.memo_hits" hits;
+        Obs.counter "dep.memo_misses" misses;
         Obs.add_span_arg "nests" (string_of_int (List.length stats.nests));
         Obs.add_span_arg "fusions" (string_of_int stats.fusions_applied);
-        Obs.add_span_arg "distributions" (string_of_int stats.distributions)
+        Obs.add_span_arg "distributions" (string_of_int stats.distributions);
+        Obs.add_span_arg "memo_hits" (string_of_int hits);
+        Obs.add_span_arg "memo_misses" (string_of_int misses)
       end;
       (Program.map_body (fun _ -> body) p, stats))

@@ -35,14 +35,6 @@ type stats = {
 val empty_stats : stats
 val merge_stats : stats -> stats -> stats
 
-val run_block :
-  ?cls:int ->
-  ?try_reversal:bool ->
-  ?interference_limit:int ->
-  outer:Loop.header list ->
-  Loop.block ->
-  Loop.block * stats
-
 val run_program :
   ?cls:int ->
   ?try_reversal:bool ->
@@ -50,4 +42,16 @@ val run_program :
   Program.t ->
   Program.t * stats
 (** [interference_limit] is forwarded to the cross-nest fusion pass (see
-    {!Fusion.fuse_block}); off by default, as in the paper. *)
+    {!Fusion.fuse_block}); off by default, as in the paper.
+
+    Each call creates one dependence memo ({!Locality_dep.Analysis.memo})
+    and threads it through every dependence query of the run: its own
+    per-nest analysis, Permute, Memorder/LoopCost, Distribution and
+    Fusion. The transformations recompute dependence vectors after every
+    step, and most pair tests repeat inputs already seen in the same run,
+    so each distinct pair is tested once. The memo is exact, so results
+    equal those of unshared analysis; it is dropped when the call
+    returns, so nothing carries over between calls. With
+    {!Locality_obs.Obs} enabled the run records its hits and misses as
+    the [dep.memo_hits] and [dep.memo_misses] counters and as args of
+    the [compound] span. *)

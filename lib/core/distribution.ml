@@ -116,8 +116,8 @@ let rec splice (l : Loop.t) path replacement =
     in
     [ Loop.Loop { l with Loop.body } ]
 
-let run ?(cls = 4) ?(try_reversal = true) (nest : Loop.t) =
-  let deps = List.filter Dep.is_true_dep (An.deps_in_nest nest) in
+let run ?(cls = 4) ?(try_reversal = true) ?memo (nest : Loop.t) =
+  let deps = List.filter Dep.is_true_dep (An.deps_in_nest ?memo nest) in
   let sites =
     List.filter (fun (_, _, l) -> List.length l.Loop.body >= 2) (loop_sites nest)
   in
@@ -139,7 +139,7 @@ let run ?(cls = 4) ?(try_reversal = true) (nest : Loop.t) =
         List.map
           (fun part ->
             let copy = { l with Loop.body = part } in
-            let o = Permute.run ~cls ~try_reversal copy in
+            let o = Permute.run ~cls ~try_reversal ?memo copy in
             (match o.Permute.status with
             | Permute.Permuted when o.Permute.inner_ok -> improved := true
             | Permute.Permuted | Permute.Already | Permute.Failed_deps

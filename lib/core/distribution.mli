@@ -23,8 +23,14 @@ val partitions_at :
     body cannot be split (a single partition). Partitions appear in a
     dependence-respecting order. *)
 
-val run : ?cls:int -> ?try_reversal:bool -> Loop.t -> result option
+val run :
+  ?cls:int ->
+  ?try_reversal:bool ->
+  ?memo:Locality_dep.Analysis.memo ->
+  Loop.t ->
+  result option
 (** Figure 5: try levels [m-1] down to [1]; at the first level where
     distribution enables some partition to be permuted into memory order,
     perform it and permute the partitions that benefit. [None] when no
-    level helps. *)
+    level helps. Dependences, the partitions' included, are computed
+    through [memo]. *)

@@ -104,11 +104,11 @@ let labels_of l =
   List.map (fun s -> s.Stmt.label) (Loop.statements l)
   |> List.fold_left (fun set x -> x :: set) []
 
-let legal ~outer l1 l2 ~depth =
+let legal ?memo ~outer l1 l2 ~depth =
   let fused = fuse_to_depth l1 l2 ~depth in
   let from2 = labels_of (align_indices l1 l2 ~depth) in
   let in1 = labels_of l1 in
-  let deps = An.deps ~outer [ Loop.Loop fused ] in
+  let deps = An.deps ?memo ~outer [ Loop.Loop fused ] in
   let nouter = List.length outer in
   (* A dependence from the second nest's statements back to the first's
      reverses the original order — unless it is definitely carried by a
@@ -128,10 +128,10 @@ let legal ~outer l1 l2 ~depth =
          && List.for_all Locality_dep.Direction.may_zero (take nouter d.vec))
        deps)
 
-let best_cost ?(cls = 4) ~outer nest =
+let best_cost ?(cls = 4) ?memo ~outer nest =
   (* Cheapest achievable LoopCost of the nest, in its outer context. *)
   ignore outer;
-  let costs = Loopcost.all_costs ~nest ~cls () in
+  let costs = Loopcost.all_costs ?memo ~nest ~cls () in
   match costs with
   | [] -> Poly.zero
   | (_, c) :: rest ->
@@ -146,7 +146,7 @@ let weight ?(cls = 4) ~outer l1 l2 ~depth =
   in
   Poly.sub unfused (best_cost ~cls ~outer fused)
 
-let rec fuse_all_inner ?(cls = 4) (l : Loop.t) =
+let rec fuse_all_inner ?(cls = 4) ?memo (l : Loop.t) =
   let is_stmt = function Loop.Stmt _ -> true | Loop.Loop _ -> false in
   if List.for_all is_stmt l.Loop.body then Some l
   else if not (Loop.body_is_all_loops l) then None
@@ -154,7 +154,7 @@ let rec fuse_all_inner ?(cls = 4) (l : Loop.t) =
     match Loop.inner_loops l with
     | [] -> None
     | [ single ] -> (
-      match fuse_all_inner ~cls single with
+      match fuse_all_inner ~cls ?memo single with
       | Some single' -> Some { l with Loop.body = [ Loop.Loop single' ] }
       | None -> None)
     | first :: rest ->
@@ -168,7 +168,7 @@ let rec fuse_all_inner ?(cls = 4) (l : Loop.t) =
               if depth < 1 then None
               else if
                 (* Fuse as deeply as the headers allow. *)
-                legal ~outer:[ l.Loop.header ] acc next ~depth
+                legal ?memo ~outer:[ l.Loop.header ] acc next ~depth
               then Some (fuse_to_depth acc next ~depth)
               else None)
           (Some first) rest
@@ -176,7 +176,7 @@ let rec fuse_all_inner ?(cls = 4) (l : Loop.t) =
       (match fused with
       | None -> None
       | Some fused -> (
-        match fuse_all_inner ~cls fused with
+        match fuse_all_inner ~cls ?memo fused with
         | Some fused' -> Some { l with Loop.body = [ Loop.Loop fused' ] }
         | None -> None))
 
@@ -199,7 +199,7 @@ type block_result = {
 (* A cluster is a fused group of originally-adjacent nests. *)
 type cluster = { ids : int list; nest : Loop.t }
 
-let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
+let fuse_run ?(cls = 4) ?memo ?interference_limit ~outer (nests : Loop.t list) =
   let n = List.length nests in
   if n < 2 then
     ( List.map (fun l -> Loop.Loop l) nests,
@@ -209,7 +209,7 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
     (* Dependence edges between the original nests, in their own block. *)
     let block = List.map (fun l -> Loop.Loop l) nests in
     let deps =
-      List.filter Dep.is_true_dep (An.deps ~outer block)
+      List.filter Dep.is_true_dep (An.deps ?memo ~outer block)
     in
     let owner = Hashtbl.create 16 in
     List.iteri
@@ -282,7 +282,7 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
       match List.assq_opt nest !bc_cache with
       | Some c -> c
       | None ->
-        let c = best_cost ~cls ~outer nest in
+        let c = best_cost ~cls ?memo ~outer nest in
         bc_cache := (nest, c) :: !bc_cache;
         c
     in
@@ -330,7 +330,7 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
         let w =
           Poly.sub
             (Poly.add (best_cost_memo a) (best_cost_memo b))
-            (best_cost ~cls ~outer fused)
+            (best_cost ~cls ?memo ~outer fused)
         in
         w_cache := ((a, b, depth), w) :: !w_cache;
         w
@@ -380,7 +380,8 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
         in
         let blocked = List.exists (fun m -> path_between m b) intervening in
         let is_legal =
-          profitable && (not blocked) && legal ~outer a.nest b.nest ~depth
+          profitable && (not blocked)
+          && legal ?memo ~outer a.nest b.nest ~depth
         in
         (* [note] only fires with Obs enabled, where [w_opt] is [Some]. *)
         note a b ~depth
@@ -441,7 +442,7 @@ let fuse_run ?(cls = 4) ?interference_limit ~outer (nests : Loop.t list) =
       !fusions )
   end
 
-let fuse_block ?(cls = 4) ?interference_limit ~outer (b : Loop.block) =
+let fuse_block ?(cls = 4) ?memo ?interference_limit ~outer (b : Loop.block) =
   (* Split the block into maximal runs of loops separated by statements;
      fusion never moves a nest across a plain statement. *)
   let nodes = ref [] and candidates = ref 0 and fused = ref 0 in
@@ -449,7 +450,7 @@ let fuse_block ?(cls = 4) ?interference_limit ~outer (b : Loop.block) =
     match List.rev run with
     | [] -> ()
     | nests ->
-      let ns, c, f = fuse_run ~cls ?interference_limit ~outer nests in
+      let ns, c, f = fuse_run ~cls ?memo ?interference_limit ~outer nests in
       nodes := !nodes @ ns;
       candidates := !candidates + c;
       fused := !fused + f

@@ -17,15 +17,23 @@ val fuse_to_depth : Loop.t -> Loop.t -> depth:int -> Loop.t
     [depth]. Headers must be compatible to [depth]. *)
 
 val legal :
-  outer:Loop.header list -> Loop.t -> Loop.t -> depth:int -> bool
-(** Would fusing to [depth] reverse a dependence? *)
+  ?memo:Locality_dep.Analysis.memo ->
+  outer:Loop.header list ->
+  Loop.t ->
+  Loop.t ->
+  depth:int ->
+  bool
+(** Would fusing to [depth] reverse a dependence? In this module, [memo]
+    is the table every dependence query goes through (see
+    {!Locality_dep.Analysis.memo}); absent, each query uses a fresh one. *)
 
 val weight :
   ?cls:int -> outer:Loop.header list -> Loop.t -> Loop.t -> depth:int -> Poly.t
 (** Locality benefit of fusing: (sum of the two nests' best LoopCosts)
     minus the fused nest's best LoopCost. Positive means profitable. *)
 
-val fuse_all_inner : ?cls:int -> Loop.t -> Loop.t option
+val fuse_all_inner :
+  ?cls:int -> ?memo:Locality_dep.Analysis.memo -> Loop.t -> Loop.t option
 (** Fuse {e all} inner nests of an imperfect loop whose body consists of
     adjacent loops, recursively, to produce a perfect nest that enables
     permutation (Section 4.3.2) — profitability is not required. [None]
@@ -40,6 +48,7 @@ type block_result = {
 
 val fuse_block :
   ?cls:int ->
+  ?memo:Locality_dep.Analysis.memo ->
   ?interference_limit:int ->
   outer:Loop.header list ->
   Loop.block ->

@@ -123,11 +123,11 @@ let loop_cost ?deps ~nest ~cls loop =
   in
   loop_cost_ctx (make_ctx ~deps ~nest ~cls) loop
 
-let all_costs ?deps ~nest ~cls () =
+let all_costs ?memo ?deps ~nest ~cls () =
   let deps =
     match deps with
     | Some d -> d
-    | None -> An.deps_in_nest ~include_input:true nest
+    | None -> An.deps_in_nest ?memo ~include_input:true nest
   in
   let ctx = make_ctx ~deps ~nest ~cls in
   List.map (fun l -> (l, loop_cost_ctx ctx l)) (Loop.indices nest)

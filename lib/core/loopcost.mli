@@ -25,12 +25,14 @@ val loop_cost :
     them for each candidate. *)
 
 val all_costs :
+  ?memo:Locality_dep.Analysis.memo ->
   ?deps:Locality_dep.Depend.t list ->
   nest:Loop.t ->
   cls:int ->
   unit ->
   (string * Poly.t) list
-(** [loop_cost] for every loop of the nest, in nest order. *)
+(** [loop_cost] for every loop of the nest, in nest order. Without [deps],
+    the dependences are computed through [memo]. *)
 
 val group_cost_table :
   nest:Loop.t ->

@@ -3,8 +3,8 @@ type t = {
   original : string list;
 }
 
-let compute ?deps ?(cls = 4) nest =
-  let costs = Loopcost.all_costs ?deps ~nest ~cls () in
+let compute ?memo ?deps ?(cls = 4) nest =
+  let costs = Loopcost.all_costs ?memo ?deps ~nest ~cls () in
   (* Stable sort by decreasing dominant cost keeps the original relative
      order of tied loops, minimising gratuitous permutation. *)
   let ranked =

@@ -9,7 +9,13 @@ type t = {
 }
 
 val compute :
-  ?deps:Locality_dep.Depend.t list -> ?cls:int -> Loop.t -> t
+  ?memo:Locality_dep.Analysis.memo ->
+  ?deps:Locality_dep.Depend.t list ->
+  ?cls:int ->
+  Loop.t ->
+  t
+(** Rank the nest's loops. Dependences are [deps] when given, else
+    computed through [memo] (see {!Locality_dep.Analysis.memo}). *)
 
 val order : t -> string list
 val innermost : t -> string

@@ -111,12 +111,13 @@ let note_candidate order reversed verdict =
            else [ ("reversed", String.concat "," reversed) ])
         @ [ ("verdict", verdict) ])
 
-let run ?(cls = 4) ?(try_reversal = true) ?deps ?mo nest =
+let run ?(cls = 4) ?(try_reversal = true) ?memo ?deps ?mo nest =
   let deps_all =
     match deps with
     | Some d -> d
     | None ->
-      Obs.span "dep" (fun () -> An.deps_in_nest ~include_input:true nest)
+      Obs.span "dep" (fun () ->
+          An.deps_in_nest ?memo ~include_input:true nest)
   in
   let mo =
     match mo with

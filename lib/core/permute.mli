@@ -25,6 +25,7 @@ type outcome = {
 val run :
   ?cls:int ->
   ?try_reversal:bool ->
+  ?memo:Locality_dep.Analysis.memo ->
   ?deps:Locality_dep.Depend.t list ->
   ?mo:Memorder.t ->
   Loop.t ->
@@ -33,6 +34,7 @@ val run :
     returned unchanged with status [Failed_deps] and [inner_ok] reflecting
     the current order (callers fuse or distribute first). [deps] (with
     input dependences) and [mo] may be supplied when the caller has
-    already computed them for this nest. *)
+    already computed them for this nest; otherwise the dependences are
+    computed through [memo]. *)
 
 val status_to_string : status -> string

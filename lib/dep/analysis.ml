@@ -58,43 +58,49 @@ let common_prefix p1 p2 =
   in
   go p1 p2
 
-let pair_deps a b =
-  let src, snk = if a.pos <= b.pos then (a, b) else (b, a) in
-  let ncommon = List.length (common_prefix src.path snk.path) in
-  Depend.test_pair
-    ~src_path:(List.map snd src.path)
-    ~snk_path:(List.map snd snk.path)
-    ~ncommon
-    ~src:(src.stmt, src.ref_, src.acc)
-    ~snk:(snk.stmt, snk.ref_, snk.acc)
+type memo = Depend.memo
 
-let deps ?(include_input = false) ?outer block =
-  let accs = accesses ?outer block in
+let create_memo = Depend.create_memo
+
+let pair_deps ~memo (a, sa) (b, sb) =
+  let (src, src_site), (snk, snk_site) =
+    if a.pos <= b.pos then ((a, sa), (b, sb)) else ((b, sb), (a, sa))
+  in
+  let ncommon = List.length (common_prefix src.path snk.path) in
+  Depend.test_pair ~memo ~ncommon
+    ~src:(src.stmt, src_site, src.acc)
+    ~snk:(snk.stmt, snk_site, snk.acc)
+
+let deps ?memo ?(include_input = false) ?outer block =
+  let memo = match memo with Some m -> m | None -> create_memo () in
+  let accs =
+    List.map
+      (fun a -> (a, Depend.site memo ~path:(List.map snd a.path) a.ref_))
+      (accesses ?outer block)
+  in
   let rec pairs acc = function
     | [] -> acc
-    | a :: rest ->
+    | ((a, _) as pa) :: rest ->
       let acc =
         List.fold_left
-          (fun acc b ->
+          (fun acc ((b, _) as pb) ->
             if not (String.equal a.ref_.Reference.array b.ref_.Reference.array)
             then acc
             else if
               a.acc = `Read && b.acc = `Read && not include_input
             then acc
-            else List.rev_append (pair_deps a b) acc)
+            else List.rev_append (pair_deps ~memo pa pb) acc)
           acc rest
       in
       pairs acc rest
   in
   let self_deps =
     List.filter_map
-      (fun a ->
-        if a.acc = `Write then
-          Depend.test_self ~path:(List.map snd a.path) (a.stmt, a.ref_)
-        else None)
+      (fun (a, site) ->
+        if a.acc = `Write then Depend.test_self ~memo (a.stmt, site) else None)
       accs
   in
   self_deps @ List.rev (pairs [] accs)
 
-let deps_in_nest ?include_input (l : Loop.t) =
-  deps ?include_input [ Loop.Loop l ]
+let deps_in_nest ?memo ?include_input (l : Loop.t) =
+  deps ?memo ?include_input [ Loop.Loop l ]

@@ -405,6 +405,104 @@ let analyze_pair ~src_path ~snk_path ~ncommon (src_ref : Reference.t)
         | None -> None
         | Some v -> Some (v, zero_ok, always, mzp))
 
+(* [analyze_pair] is a pure function of its five inputs, so a table
+   keyed on exactly those inputs returns what a fresh call would. Paths
+   and references are interned first: each distinct one (under
+   structural equality) gets a small integer, once per access rather
+   than once per pair, and the pair table is keyed on the integers.
+   Interning is injective within a memo, so the integer key is equal
+   exactly when the five inputs are. *)
+module Interner (T : sig
+  type t
+end) =
+struct
+  module Tbl = Hashtbl.Make (struct
+    type t = T.t
+
+    (* [compare] rather than [=]: it skips physically shared subterms.
+       The default hash stops after ten words, well before a path's
+       bounds or a reference's subscripts. *)
+    let equal a b = compare a b = 0
+    let hash = Hashtbl.hash_param 100 400
+  end)
+
+  let id tbl x =
+    match Tbl.find_opt tbl x with
+    | Some id -> id
+    | None ->
+      let id = Tbl.length tbl in
+      Tbl.add tbl x id;
+      id
+end
+
+module Path_ids = Interner (struct
+  type t = Loop.header list
+end)
+
+module Ref_ids = Interner (struct
+  type t = Reference.t
+end)
+
+module Pairs = Hashtbl.Make (struct
+  type t = int * int * int * int * int
+
+  let equal (a1, b1, c1, d1, e1) (a2, b2, c2, d2, e2) =
+    Int.equal a1 a2 && Int.equal b1 b2 && Int.equal c1 c2 && Int.equal d1 d2
+    && Int.equal e1 e2
+
+  let hash = Hashtbl.hash
+end)
+
+type memo = {
+  path_ids : int Path_ids.Tbl.t;
+  ref_ids : int Ref_ids.Tbl.t;
+  pairs : (Direction.t * bool * bool * int) option Pairs.t;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let create_memo () =
+  {
+    path_ids = Path_ids.Tbl.create 16;
+    ref_ids = Ref_ids.Tbl.create 32;
+    pairs = Pairs.create 64;
+    hits = 0;
+    misses = 0;
+  }
+
+let memo_hits m = m.hits
+let memo_misses m = m.misses
+
+type site = {
+  path : Loop.header list;
+  ref_ : Reference.t;
+  path_id : int;
+  ref_id : int;
+}
+
+let site memo ~path ref_ =
+  {
+    path;
+    ref_;
+    path_id = Path_ids.id memo.path_ids path;
+    ref_id = Ref_ids.id memo.ref_ids ref_;
+  }
+
+let analyze_sites memo ~ncommon src snk =
+  let key = (src.path_id, snk.path_id, ncommon, src.ref_id, snk.ref_id) in
+  match Pairs.find_opt memo.pairs key with
+  | Some r ->
+    memo.hits <- memo.hits + 1;
+    r
+  | None ->
+    memo.misses <- memo.misses + 1;
+    let r =
+      analyze_pair ~src_path:src.path ~snk_path:snk.path ~ncommon src.ref_
+        snk.ref_
+    in
+    Pairs.add memo.pairs key r;
+    r
+
 let mk ~src ~snk ~kind ~vec ~loops ~li ~li_always ~zero_prefix =
   let s1, r1 = src and s2, r2 = snk in
   {
@@ -420,10 +518,9 @@ let mk ~src ~snk ~kind ~vec ~loops ~li ~li_always ~zero_prefix =
     zero_prefix;
   }
 
-let test_self ~path (s, r) =
-  match
-    analyze_pair ~src_path:path ~snk_path:path ~ncommon:(List.length path) r r
-  with
+let test_self ~memo (s, site) =
+  let path = site.path and r = site.ref_ in
+  match analyze_sites memo ~ncommon:(List.length path) site site with
   | None -> None
   | Some (v, _zero_ok, _always, mzp) -> (
     match Direction.restrict_lex_pos v with
@@ -434,14 +531,15 @@ let test_self ~path (s, r) =
            ~loops:(List.map (fun (h : Loop.header) -> h.Loop.index) path)
            ~li:false ~li_always:false ~zero_prefix:mzp))
 
-let test_pair ~src_path ~snk_path ~ncommon ~src:(s1, r1, a1) ~snk:(s2, r2, a2) =
+let test_pair ~memo ~ncommon ~src:(s1, site1, a1) ~snk:(s2, site2, a2) =
+  let r1 = site1.ref_ and r2 = site2.ref_ in
   if not (String.equal r1.Reference.array r2.Reference.array) then []
   else
-    match analyze_pair ~src_path ~snk_path ~ncommon r1 r2 with
+    match analyze_sites memo ~ncommon site1 site2 with
     | None -> []
     | Some (v, zero_ok, always, mzp) ->
       let names =
-        List.filteri (fun i _ -> i < ncommon) src_path
+        List.filteri (fun i _ -> i < ncommon) site1.path
         |> List.map (fun (h : Loop.header) -> h.Loop.index)
       in
       let fwd =

@@ -46,22 +46,47 @@ val analyze_pair :
     dependence. Bounds of the enclosing loops (including non-common ones)
     refine the result by interval reasoning. *)
 
-val test_self :
-  path:Loop.header list -> Stmt.t * Reference.t -> t option
+type memo
+(** Results of {!analyze_pair}, keyed on its five inputs: the source and
+    sink header paths, [ncommon], and the two references, compared by
+    structural equality. Paths and references are interned to integers
+    per access ({!site}), so a lookup hashes five integers. The table is
+    exact by construction: [analyze_pair] is a pure function of exactly
+    those inputs, and statement labels and access kinds, which differ
+    between accesses with the same key, are attached afterwards by
+    {!test_pair} and {!test_self}. A memo only grows; its owner decides
+    its lifetime (see {!Analysis.memo}). Not safe to share between
+    domains. *)
+
+val create_memo : unit -> memo
+
+val memo_hits : memo -> int
+(** Pair analyses answered from the table. *)
+
+val memo_misses : memo -> int
+(** Pair analyses computed and added to the table. *)
+
+type site
+(** An access's enclosing headers (outermost first) and reference,
+    interned in a memo. *)
+
+val site : memo -> path:Loop.header list -> Reference.t -> site
+
+val test_self : memo:memo -> Stmt.t * site -> t option
 (** The loop-carried output dependence of a write with itself, when its
     subscripts do not cover every enclosing loop. *)
 
 val test_pair :
-  src_path:Loop.header list ->
-  snk_path:Loop.header list ->
+  memo:memo ->
   ncommon:int ->
-  src:Stmt.t * Reference.t * [ `Read | `Write ] ->
-  snk:Stmt.t * Reference.t * [ `Read | `Write ] ->
+  src:Stmt.t * site * [ `Read | `Write ] ->
+  snk:Stmt.t * site * [ `Read | `Write ] ->
   t list
 (** All dependences between an ordered pair of accesses, where the source
-    access executes before the sink within one iteration of the common
-    loops (textual order; within one statement, reads precede the write).
-    Produces the forward dependence, and the reversed dependence when the
-    solution set admits lexicographically negative vectors. *)
+    access executes before the sink within one iteration of the first
+    [ncommon] loops of their paths (textual order; within one statement,
+    reads precede the write). Produces the forward dependence, and the
+    reversed dependence when the solution set admits lexicographically
+    negative vectors. Both sites must come from [memo]. *)
 
 val pp : Format.formatter -> t -> unit

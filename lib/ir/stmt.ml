@@ -115,37 +115,59 @@ let binop_sym = function
 
 let prec = function Fadd | Fsub -> 1 | Fmul | Fdiv -> 2 | Fmin | Fmax -> 3
 
+(* A compound integer expression inside a real one prints in the real
+   expression's syntax, with its grouping made explicit like any other
+   operand: Expr.pp's compact [2.0 + 2+N-K * 1.25] would read back as a
+   different expression. The parser lowers the subtree back to one
+   Iexpr (integer arithmetic, see Lower). Atoms stay Iexprs. *)
+let rec int_view (e : Expr.t) =
+  match e with
+  | Expr.Int n when n < 0 -> Unop (Fneg, Iexpr (Expr.Int (-n)))
+  | Expr.Int _ | Expr.Var _ -> Iexpr e
+  | Expr.Neg a -> Unop (Fneg, int_view a)
+  | Expr.Add (a, b) -> Binop (Fadd, int_view a, int_view b)
+  | Expr.Sub (a, b) -> Binop (Fsub, int_view a, int_view b)
+  | Expr.Mul (a, b) -> Binop (Fmul, int_view a, int_view b)
+  | Expr.Div (a, b) -> Binop (Fdiv, int_view a, int_view b)
+  | Expr.Min (a, b) -> Binop (Fmin, int_view a, int_view b)
+  | Expr.Max (a, b) -> Binop (Fmax, int_view a, int_view b)
+
+let view = function Iexpr e -> int_view e | e -> e
+
 let rec pp_rexpr ppf = function
   | Const c ->
     if Float.is_integer c && Float.abs c < 1e15 then
       Format.fprintf ppf "%.1f" c
     else Format.fprintf ppf "%g" c
   | Scalar x -> Format.fprintf ppf "%s" x
-  | Iexpr e -> Expr.pp ppf e
+  | Iexpr e -> (
+    match int_view e with
+    | Iexpr e -> Expr.pp ppf e
+    | v -> pp_rexpr ppf v)
   | Load r -> Reference.pp ppf r
   | Unop (Fneg, a) -> Format.fprintf ppf "-%a" pp_atom a
   | Unop (op, a) -> Format.fprintf ppf "%s(%a)" (unop_name op) pp_rexpr a
   | Binop ((Fmin | Fmax) as op, a, b) ->
     Format.fprintf ppf "%s(%a, %a)" (binop_sym op) pp_rexpr a pp_rexpr b
   | Binop (op, a, b) ->
-    let right_prec =
-      match op with
-      | Fsub | Fdiv -> prec op + 1
-      | Fadd | Fmul | Fmin | Fmax -> prec op
-    in
+    (* The right operand needs strictly tighter binding, so the parser
+       rebuilds exactly this tree: the same rounding of real operations,
+       and the same integer subtrees for Lower to fold back into
+       Iexprs. *)
     Format.fprintf ppf "%a %s %a"
       (pp_operand (prec op))
-      a (binop_sym op) (pp_operand right_prec) b
+      a (binop_sym op)
+      (pp_operand (prec op + 1))
+      b
 
 and pp_atom ppf e =
   match e with
   | Const _ | Scalar _ | Load _ -> pp_rexpr ppf e
   | Iexpr _ | Unop _ | Binop _ -> Format.fprintf ppf "(%a)" pp_rexpr e
 
-(* Parenthesise a child whose operator binds looser than required; the
-   right operand of [-] and [/] requires strictly tighter binding. *)
+(* Parenthesise a child whose operator binds looser than required. *)
 and pp_operand min_prec ppf e =
-  match e with
+  match view e with
   | Binop (((Fadd | Fsub | Fmul | Fdiv) as op), _, _) when prec op < min_prec
     ->
     Format.fprintf ppf "(%a)" pp_rexpr e

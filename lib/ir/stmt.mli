@@ -43,4 +43,9 @@ val subst_index : t -> string -> Expr.t -> t
 val rename_index : t -> string -> string -> t
 val equal : t -> t -> bool
 val pp_rexpr : Format.formatter -> rexpr -> unit
+(** Prints with the tree's grouping explicit (a right operand of equal
+    precedence is parenthesised) and a compound {!Iexpr} in the same
+    syntax as real operations, so [Lower] reads the text back as the
+    same expression. *)
+
 val pp : Format.formatter -> t -> unit

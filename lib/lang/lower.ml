@@ -40,8 +40,25 @@ let intrinsic2 = function
   | "MAX" -> Some Stmt.Fmax
   | _ -> None
 
+let is_minmax f =
+  match String.uppercase_ascii f with "MIN" | "MAX" -> true | _ -> false
+
+(* A subtree built only from integer literals, loop indices and
+   PARAMETERs under + - * /, unary minus, MIN and MAX is Fortran integer
+   arithmetic: N/2 truncates. *)
+let rec int_only ctx (e : Ast.expr) =
+  match e with
+  | Ast.Num_int _ -> true
+  | Ast.Id x -> List.mem x ctx.indices || List.mem x ctx.params
+  | Ast.Neg a -> int_only ctx a
+  | Ast.Bin (_, a, b) -> int_only ctx a && int_only ctx b
+  | Ast.Call (f, [ a; b ]) when is_minmax f -> int_only ctx a && int_only ctx b
+  | Ast.Num_float _ | Ast.Call _ -> false
+
 let rec rexpr ctx (e : Ast.expr) : Stmt.rexpr =
   match e with
+  | (Ast.Neg _ | Ast.Bin _ | Ast.Call _) when int_only ctx e ->
+    Stmt.Iexpr (expr_to_ir e)
   | Ast.Num_int n -> Stmt.Const (float_of_int n)
   | Ast.Num_float f -> Stmt.Const f
   | Ast.Id x ->

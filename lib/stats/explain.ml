@@ -13,6 +13,8 @@ type t = {
   stats : Compound.stats;
   transformed : Program.t;
   block_notes : Event.t list;
+  memo_hits : int;
+  memo_misses : int;
   events : Event.t list;
 }
 
@@ -59,7 +61,25 @@ let run ?cls ?try_reversal ?interference_limit ~name program =
         is_instant e && not (Hashtbl.mem claimed e.Event.ctx))
       events
   in
-  { name; entries; stats; transformed; block_notes; events }
+  let counter name =
+    List.fold_left
+      (fun acc (e : Event.t) ->
+        match e.Event.payload with
+        | Event.Counter { name = n; delta } when String.equal n name ->
+          acc + delta
+        | _ -> acc)
+      0 events
+  in
+  {
+    name;
+    entries;
+    stats;
+    transformed;
+    block_notes;
+    memo_hits = counter "dep.memo_hits";
+    memo_misses = counter "dep.memo_misses";
+    events;
+  }
 
 (* ----------------------------------------------------- narrative --- *)
 
@@ -106,6 +126,11 @@ let render t =
     (List.length s.Compound.nests)
     s.Compound.fusion_candidates s.Compound.fusions_applied
     s.Compound.distributions s.Compound.distribution_results;
+  (let tests = t.memo_hits + t.memo_misses in
+   if tests > 0 then
+     addf "dependence memo: %d of %d pair tests answered from the memo (%.1f%%)"
+       t.memo_hits tests
+       (100.0 *. float_of_int t.memo_hits /. float_of_int tests));
   Buffer.add_string b "\n";
   List.iter
     (fun e ->
@@ -160,6 +185,8 @@ let to_json t =
       ("fusions_applied", Json.int s.Compound.fusions_applied);
       ("distributions", Json.int s.Compound.distributions);
       ("distribution_results", Json.int s.Compound.distribution_results);
+      ("dep_memo_hits", Json.int t.memo_hits);
+      ("dep_memo_misses", Json.int t.memo_misses);
       ("decisions", Json.list (List.map entry_json t.entries));
       ("block_notes", Json.list (List.filter_map note_json t.block_notes));
     ]

@@ -951,6 +951,44 @@ let test_reversed_loop_output_dep () =
            cross)
        cross)
 
+(* One memo shared by many Analysis.deps calls gives exactly what a
+   fresh memo per call gives: the memo key is the whole input of the
+   pair test, and labels and access kinds are attached after lookup. The
+   calls mirror a Compound run: the same block again, a permuted copy of
+   a nest, a block of nests and the nest their fusion produces. *)
+let test_shared_memo_exact () =
+  let module C = Locality_core in
+  let module K = Locality_suite.Kernels in
+  let memo = An.create_memo () in
+  let same name ?include_input ?outer block =
+    let shared = An.deps ~memo ?include_input ?outer block in
+    let fresh = An.deps ?include_input ?outer block in
+    checkb name true (shared = fresh)
+  in
+  let matmul = List.hd (Program.top_loops (K.matmul ~order:"IJK" 12)) in
+  same "matmul" ~include_input:true [ Loop.Loop matmul ];
+  let misses = Dep.memo_misses memo in
+  same "matmul again" ~include_input:true [ Loop.Loop matmul ];
+  checki "a repeated block is all hits" misses (Dep.memo_misses memo);
+  checkb "hits counted" true (Dep.memo_hits memo >= misses);
+  same "matmul, true deps only" [ Loop.Loop matmul ];
+  same "matmul twice in one block" ~include_input:true
+    [ Loop.Loop matmul; Loop.Loop matmul ];
+  (match C.Interchange.permute_spine matmul [ "J"; "K"; "I" ] with
+  | Some jki -> same "permuted matmul" ~include_input:true [ Loop.Loop jki ]
+  | None -> Alcotest.fail "JKI permutation refused");
+  let adi = List.hd (Program.top_loops (K.adi_fragment 12)) in
+  let outer = [ adi.Loop.header ] in
+  same "ADI nest" ~include_input:true [ Loop.Loop adi ];
+  same "ADI inner block" ~outer adi.Loop.body;
+  (match C.Fusion.fuse_all_inner ~cls:4 adi with
+  | Some fused ->
+    same "fused ADI nest" ~include_input:true [ Loop.Loop fused ];
+    same "fused ADI inner block" ~outer fused.Loop.body
+  | None -> Alcotest.fail "ADI inner loops should fuse");
+  let chol = Program.top_loops (K.cholesky 12) in
+  same "cholesky block" (List.map (fun l -> Loop.Loop l) chol)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -989,4 +1027,5 @@ let suite =
     ("coverage check not vacuous", `Quick, test_coverage_check_not_vacuous);
     ("graph scc + topo order", `Quick, test_graph_scc);
     ("graph drops input deps", `Quick, test_graph_input_dropped);
+    ("shared memo equals fresh memos", `Quick, test_shared_memo_exact);
   ]

@@ -252,8 +252,96 @@ let test_min_in_bounds_parses () =
   let res = Exec.run p in
   checki "all iterations" 20 res.Exec.iterations
 
+(* Inside a real expression an integer-only subtree is Fortran integer
+   arithmetic: it lowers to one Iexpr, and N/2 truncates. *)
+let test_integer_subtrees_lower_to_iexpr () =
+  let src =
+    {|
+PROGRAM ints
+PARAMETER (N = 9)
+REAL A(N), B(N)
+DO K = 1, N
+  A(K) = 2.0 + (2 + N / 2 - K) * 1.25
+  B(K) = N / 2
+ENDDO
+END
+|}
+  in
+  let p = L.Lower.parse_program src in
+  let rhs =
+    List.map (fun s -> s.Stmt.rhs)
+      (Loop.statements (List.hd (Program.top_loops p)))
+  in
+  let half = Expr.Div (Expr.Var "N", Expr.Int 2) in
+  let mirror = Expr.Sub (Expr.Add (Expr.Int 2, half), Expr.Var "K") in
+  checkb "2 + N / 2 - K is one Iexpr" true
+    (List.nth rhs 0
+    = Stmt.Binop
+        (Stmt.Fadd, Stmt.Const 2.0,
+         Stmt.Binop (Stmt.Fmul, Stmt.Iexpr mirror, Stmt.Const 1.25)));
+  checkb "N / 2 is one Iexpr" true (List.nth rhs 1 = Stmt.Iexpr half);
+  let b = List.assoc "B" (Exec.run p).Exec.arrays in
+  checkb "N / 2 truncates to 4" true (Array.for_all (fun x -> x = 4.0) b)
+
+(* Printing keeps every grouping, and integer subtrees print in the real
+   expression's syntax, so print -> parse -> print is the identity on the
+   text and the reread program computes the same values. *)
+let test_print_parse_keeps_grouping () =
+  let open Stmt in
+  let i = Iexpr (Expr.Var "I") and j = Iexpr (Expr.Var "J") in
+  let mirror =
+    Iexpr (Expr.Sub (Expr.Add (Expr.Int 2, Expr.Var "N"), Expr.Var "I"))
+  in
+  let rhss =
+    [
+      Binop (Fadd, Scalar "S", Binop (Fadd, i, j));
+      Binop (Fadd, Binop (Fadd, Scalar "S", i), j);
+      Binop (Fsub, Binop (Fsub, i, j), Const 1.5);
+      Binop (Fadd, Const 2.0, Binop (Fmul, mirror, Const 1.25));
+      Binop (Fadd, Binop (Fadd, Scalar "S", mirror), Const 1.5);
+      Binop (Fadd, Scalar "S", Binop (Fadd, mirror, Const 1.5));
+      Binop (Fmul, Unop (Fneg, mirror), Const 0.5);
+      Binop (Fdiv, Scalar "S", Binop (Fmin, i, mirror));
+    ]
+  in
+  let n = Expr.Var "N" in
+  let body =
+    Loop.Stmt (scalar_assign "S" (Const 0.5))
+    :: [
+         Loop.Loop
+           (Loop.loop "I" (Expr.Int 1) n
+              [
+                Loop.Loop
+                  (Loop.loop "J" (Expr.Int 1) n
+                     (List.map
+                        (fun rhs ->
+                          Loop.Stmt
+                            (assign (Reference.make "A" [ Expr.Var "I" ]) rhs))
+                        rhss));
+              ]);
+       ]
+  in
+  let p =
+    Program.make ~name:"grouping" ~params:[ ("N", 7) ]
+      [ Decl.make "A" [ Expr.Int 9 ] ]
+      body
+  in
+  let text = Pretty.program_to_string p in
+  List.iter
+    (fun frag ->
+      checkb ("prints " ^ frag) true
+        (let n = String.length text and m = String.length frag in
+         let rec go k = k + m <= n && (String.sub text k m = frag || go (k + 1)) in
+         go 0))
+    [ "S + (I + J)"; "2.0 + (2 + N - I) * 1.25"; "-(2 + N - I) * 0.5" ];
+  let p2 = L.Lower.parse_program text in
+  checks "reprint is identical" text (Pretty.program_to_string p2);
+  checkb "reread program computes the same values" true (Exec.equivalent p p2)
+
 let suite =
   [
+    ("integer subtrees lower to Iexpr", `Quick, test_integer_subtrees_lower_to_iexpr);
+    ("print/parse keeps grouping", `Quick, test_print_parse_keeps_grouping);
     ("kernel files parse + optimize + check", `Quick, test_kernel_files_parse_optimize_check);
     ("MIN in loop bounds", `Quick, test_min_in_bounds_parses);
     ("lexer basics", `Quick, test_lex_basics);

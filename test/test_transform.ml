@@ -370,8 +370,27 @@ let test_interference_limit_guard () =
   let _, ste = C.Compound.run_program ~cls:4 ~interference_limit:4 e in
   checkb "4-array fusion still allowed" true (ste.C.Compound.fusions_applied >= 1)
 
+(* Compound's results on 300 generated programs, digested structurally
+   (Marshal without sharing, so the digest does not depend on which
+   values happen to be physically shared). The expected digest was
+   computed before Compound's dependence queries began sharing one memo
+   per run; a change to the optimized programs or to any statistic
+   shows up here. Gen labels its statements per program, so the digest
+   does not depend on which tests ran first. *)
+let test_compound_golden_digest () =
+  let results =
+    List.init 300 (fun index ->
+        let p = Locality_fuzz.Gen.generate ~seed:1 ~index ~size:32 in
+        C.Compound.run_program ~cls:4 p)
+  in
+  checks "digest of Compound results, seed 1, programs 0..299"
+    "0b53daabb915066010abe7dd2c5a75fa"
+    (Digest.to_hex
+       (Digest.string (Marshal.to_string results [ Marshal.No_sharing ])))
+
 let suite =
   [
+    ("compound golden digest (300 programs)", `Quick, test_compound_golden_digest);
     ("interference limit guard", `Quick, test_interference_limit_guard);
     ("fusion compatible level", `Quick, test_fusion_compatible_level);
     ("fusion incompatible headers", `Quick, test_fusion_incompatible);
