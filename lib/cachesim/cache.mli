@@ -54,18 +54,18 @@ type region = {
 val fresh_region : unit -> region
 
 val simulate_chunk : t -> ?marked:bool array -> ?region:region -> Chunk.t -> unit
-(** Replay a chunk of packed trace records in a tight loop — semantically
-    one {!access_full} per record with bit-identical statistics, but
-    without per-access closure dispatch, and with a fully inlined
-    direct-mapped (assoc = 1) fast path. When both [marked] (indexed by
-    interned label id) and [region] are given, accesses whose label is
-    marked are also tallied into [region]. *)
+(** Replay a chunk of packed trace records — semantically one
+    {!access_full} per record with bit-identical statistics, through the
+    same unrolled lookup kernel (way search and LRU victim choice
+    unrolled for 2 and 4 ways) that {!simulate_runs} uses. When both
+    [marked] (indexed by interned label id) and [region] are given,
+    accesses whose label is marked are also tallied into [region]. *)
 
 type run_metrics = {
   mutable m_groups : int;  (** run groups replayed *)
-  mutable m_boundaries : int;  (** iterations processed with set lookups *)
-  mutable m_bulk_iters : int;  (** iterations bulk-advanced as all-hit *)
-  mutable m_fallbacks : int;  (** windows degraded by same-set conflicts *)
+  mutable m_boundaries : int;  (** group iterations replayed per access *)
+  mutable m_bulk_iters : int;  (** group iterations settled by line visits *)
+  mutable m_fallbacks : int;  (** groups replayed per access *)
 }
 
 val fresh_run_metrics : unit -> run_metrics
@@ -74,15 +74,17 @@ val simulate_runs :
   t -> ?marked:bool array -> ?region:region -> ?metrics:run_metrics ->
   Runchunk.t -> unit
 (** Replay a v2 run chunk ({!Runchunk}). Statistics — including [region]
-    tallies — are bit-identical to expanding every group round-robin and
-    replaying per access, but for groups whose references all advance by
-    less than a line per iteration the simulator is event-driven: set
-    lookups and evictions happen only on line-boundary-crossing
-    iterations, and the all-hit interior of each window bulk-advances
-    hits, clock, LRU ages and region counts. Windows where two
-    references hold different lines of one set, and groups containing a
-    reference that crosses a line every iteration, use the exact
-    per-access path instead. *)
+    tallies — and the final cache state are bit-identical to expanding
+    every group round-robin and replaying per access. A group is
+    settled by line visits: each reference's address progression is
+    walked one cache line at a time in closed form, visits to the same
+    line merge into one slot (first-touch key and reference, last-touch
+    key, any write), and when no set receives more than [assoc] of the
+    group's distinct lines the set is probed once per line, in
+    first-touch order. Every victim is then an entry from before the
+    group, chosen by its pre-group age, and every other access is a
+    hit. A group that overflows a set, or whose references all leave
+    their line every iteration, is replayed per access. *)
 
 val stats : t -> stats
 val reset : t -> unit

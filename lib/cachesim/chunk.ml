@@ -18,6 +18,8 @@ type t = {
 
 let max_addr = 0xFFFF_FFFF
 let max_label = (1 lsl 29) - 1
+let write_bit = 1 lsl 32
+let label_shift = 33
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Chunk.create: capacity must be positive";
@@ -31,11 +33,11 @@ let pack ~addr ~write ~label =
     invalid_arg (Printf.sprintf "Chunk.pack: address %d out of range" addr);
   if label < 0 || label > max_label then
     invalid_arg (Printf.sprintf "Chunk.pack: label id %d out of range" label);
-  addr lor ((if write then 1 else 0) lsl 32) lor (label lsl 33)
+  addr lor (if write then write_bit else 0) lor (label lsl label_shift)
 
 let addr r = r land max_addr
-let write r = r land (1 lsl 32) <> 0
-let label r = r lsr 33
+let write r = r land write_bit <> 0
+let label r = r lsr label_shift
 
 (* Append without a range check; callers flush on [is_full]. *)
 let push c r =

@@ -32,6 +32,13 @@ val write : int -> bool
 val label : int -> int
 (** Field accessors on a packed record. *)
 
+val write_bit : int
+val label_shift : int
+(** The layout behind {!write} and {!label}, for replay loops that
+    decode records inline: the default (dev) build profile compiles
+    libraries without cross-module inlining, so each accessor is a
+    call. *)
+
 val push : t -> int -> unit
 (** Append a packed record; the caller checks {!is_full} first. *)
 

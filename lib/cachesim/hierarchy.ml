@@ -55,9 +55,9 @@ let simulate_chunk t (c : Chunk.t) =
     ignore (access t ~write:(Chunk.write r) (Chunk.addr r))
   done
 
-(* Run-chunk replay: groups are expanded to their access sequence (the
-   two-level exchange makes window reasoning much hairier for little
-   gain — hierarchy replay is off the hot path). *)
+(* Run-chunk replay: groups are expanded to their access sequence (L1
+   write-backs feed L2 mid-group, which line visits do not model, and
+   hierarchy replay is off the hot path). *)
 let simulate_runs t (rc : Runchunk.t) =
   Runchunk.iter rc (fun ~label:_ ~addr ~write -> ignore (access t ~write addr))
 

@@ -227,6 +227,10 @@ let replay_compute ~config ~timing ~optimized_labels cap =
     Obs.counter "cache.cold" s.Cache.cold_misses;
     Obs.counter "chunks.replayed" !chunks;
     Obs.histogram "replay.accesses" s.Cache.accesses;
+    (* Run-group replay, by path (see [Cache.run_metrics]):
+       [replay.bulk_iters] counts group iterations settled by line
+       visits, [replay.boundary_events] group iterations replayed per
+       access, and [replay.fallbacks] groups replayed per access. *)
     if metrics.Cache.m_groups > 0 || metrics.Cache.m_fallbacks > 0 then begin
       Obs.add_span_arg "run_groups" (string_of_int metrics.Cache.m_groups);
       Obs.add_span_arg "boundary_events"

@@ -42,8 +42,9 @@ val hit_rate : ?exclude_cold:bool -> region -> float
 type replay_mode = Per_access | Runs | Stream | Sampled | Analytic
 (** Trace format selector. [Per_access] is the v1 flat record stream;
     [Runs] is the v2 run-compressed stream whose strided-run groups
-    both shrink the capture and let replay bulk-advance whole
-    cache-line windows. Statistics are bit-identical either way.
+    both shrink the capture and let replay make one set lookup per
+    distinct cache line a group touches. Statistics are bit-identical
+    either way.
 
     [Stream] fuses capture and simulation: the interpreter's run-chunk
     sink feeds {!Cache.simulate_runs} (and the hierarchy simulator)

@@ -1,4 +1,4 @@
-(* The v2 run-compressed trace format and its event-driven replay.
+(* The v2 run-compressed trace format and its line-visit replay.
    Everything here is differential: run-level replay must be
    bit-identical — whole-cache and per-region, every stats field — to
    per-access replay, on the hand-written kernels, on all 35 synthetic
@@ -42,6 +42,10 @@ let direct_mapped =
 
 let small_assoc =
   { Cache.name = "sa4"; size_bytes = 4096; assoc = 4; line_bytes = 64 }
+
+(* Eight ways: the lookup kernel's generic (not unrolled) loop. *)
+let eight_way =
+  { Cache.name = "sa8"; size_bytes = 4096; assoc = 8; line_bytes = 32 }
 
 (* Capture a program in both formats; small chunk sizes force flushes
    so chunk boundaries land mid-loop. *)
@@ -390,9 +394,12 @@ let test_address_only_errors () =
 (* --------------------------------------------------------- fuzzing --- *)
 
 (* A fuzz stream is a list of items: plain records and strided-run
-   groups with up to 4 references, strides spanning zero, sub-line,
-   exactly-line and super-line magnitudes of both signs. Bases keep
-   every expanded address non-negative. *)
+   groups with up to 4 references. A group's references start from a
+   few shared bases, so aliases (read-modify-write pairs), same-line
+   neighbours and zero, sub-line, line-sized and negative strides occur
+   together; a long trip (up to 300) lets a group put more lines in a
+   set than it has ways. Bases keep every expanded address
+   non-negative. *)
 type fuzz_ref = { base : int; stride : int; fwrite : bool; flabel : int }
 type fuzz_item =
   | Single of int * bool * int  (* addr, write, label *)
@@ -401,28 +408,35 @@ type fuzz_item =
 let gen_fuzz =
   let open QCheck.Gen in
   let gen_label = int_range 0 7 in
-  let gen_ref =
-    let* base = int_range 2048 16383 in
-    let* stride = int_range (-72) 72 in
+  let gen_ref bases =
+    let* base = oneofl bases in
+    let* offset = oneofl [ 0; 0; 8; -8; 24; 64 ] in
+    let* stride =
+      frequency
+        [ (2, oneofl [ 0; 8; -8; 16; 32; -64 ]); (3, int_range (-72) 72) ]
+    in
     let* fwrite = bool in
     let* flabel = gen_label in
-    return { base; stride; fwrite; flabel }
+    return { base = base + offset; stride; fwrite; flabel }
   in
   let gen_item =
     frequency
       [
         ( 1,
-          let* addr = int_range 0 16383 in
+          let* addr = int_range 0 65535 in
           let* w = bool in
           let* l = gen_label in
           return (Single (addr, w, l)) );
         ( 2,
-          let* trip = int_range 1 24 in
-          let* refs = list_size (int_range 1 4) gen_ref in
+          let* trip =
+            frequency [ (3, int_range 1 24); (1, int_range 25 300) ]
+          in
+          let* bases = list_size (int_range 1 3) (int_range 24576 40959) in
+          let* refs = list_size (int_range 1 4) (gen_ref bases) in
           return (Group (trip, refs)) );
       ]
   in
-  list_size (int_range 1 60) gen_item
+  list_size (int_range 1 40) gen_item
 
 (* Expand a fuzz stream to its access sequence. *)
 let expand items =
@@ -505,7 +519,7 @@ let runs_replay config items =
         Runchunk.push_group rc ~trip ~packed ~bases ~strides n)
     items;
   flush ();
-  (Cache.stats c, reg)
+  (Cache.stats c, reg, metrics)
 
 let prop_fuzz_all_paths_agree =
   QCheck.Test.make ~name:"fuzz: chunk, run and reference replay agree"
@@ -515,7 +529,7 @@ let prop_fuzz_all_paths_agree =
         (fun config ->
           let s0, r0 = reference_replay config accesses in
           let s1, r1 = chunk_replay config accesses in
-          let s2, r2 = runs_replay config items in
+          let s2, r2, _ = runs_replay config items in
           s1 = s0 && s2 = s0
           && r1.Cache.r_accesses = r0.Cache.r_accesses
           && r1.Cache.r_hits = r0.Cache.r_hits
@@ -523,7 +537,64 @@ let prop_fuzz_all_paths_agree =
           && r2.Cache.r_accesses = r0.Cache.r_accesses
           && r2.Cache.r_hits = r0.Cache.r_hits
           && r2.Cache.r_cold = r0.Cache.r_cold)
-        [ direct_mapped; small_assoc; Machine.cache2 ])
+        [
+          direct_mapped; small_assoc; Machine.cache2; Machine.cache1; eight_way;
+        ])
+
+(* One group through [runs_replay] between [prefix] and a read sweep
+   that evicts everything (so the group's dirty lines are written
+   back), checked against [reference_replay] on stats — writebacks
+   included — and region tallies. *)
+let check_group name config ~prefix group =
+  let sweep =
+    List.init (2 * config.Cache.size_bytes / config.Cache.line_bytes) (fun k ->
+        Single (65536 + (k * config.Cache.line_bytes), false, 0))
+  in
+  let items = prefix @ (group :: sweep) in
+  let s0, r0 = reference_replay config (expand items) in
+  let s2, r2, metrics = runs_replay config items in
+  Alcotest.check stats_t (name ^ ": stats") s0 s2;
+  Alcotest.check region_t (name ^ ": region") r0 r2;
+  metrics
+
+(* Dirty lines in every way of set 0 of [small_assoc] (16 sets of
+   64-byte lines: set 0 repeats every 1024 bytes), so a miss there
+   evicts one and writes it back. *)
+let dirty_set0 = List.init 4 (fun k -> Single (k * 1024, true, k))
+
+let test_set_overflow_falls_back () =
+  (* Five references, 1 KB apart: five distinct lines of set 0 in a
+     4-way cache. *)
+  let refs =
+    List.init 5 (fun k ->
+        { base = 8192 + (k * 1024); stride = 8; fwrite = k = 2; flabel = k })
+  in
+  let m =
+    check_group "overflow" small_assoc ~prefix:dirty_set0 (Group (16, refs))
+  in
+  Alcotest.(check int) "groups" 1 m.Cache.m_groups;
+  Alcotest.(check int) "replayed per access" 1 m.Cache.m_fallbacks;
+  Alcotest.(check int) "iterations per access" 16 m.Cache.m_boundaries;
+  Alcotest.(check int) "no line visits" 0 m.Cache.m_bulk_iters
+
+let test_read_modify_write_visits () =
+  (* A(I) = A(I) + B(I): the load and the store of A are one line
+     stream, merged into one slot per line; the writer is second. *)
+  let a = 8192 and b = 8192 + 2048 in
+  let refs =
+    [
+      { base = a; stride = 8; fwrite = false; flabel = 1 };
+      { base = b; stride = 8; fwrite = false; flabel = 5 };
+      { base = a; stride = 8; fwrite = true; flabel = 1 };
+    ]
+  in
+  let m =
+    check_group "read-modify-write" small_assoc ~prefix:dirty_set0
+      (Group (40, refs))
+  in
+  Alcotest.(check int) "no per-access replay" 0 m.Cache.m_fallbacks;
+  Alcotest.(check int) "iterations by line visits" 40 m.Cache.m_bulk_iters;
+  Alcotest.(check int) "no iterations per access" 0 m.Cache.m_boundaries
 
 let prop_runchunk_roundtrip =
   (* Runchunk.iter must expand groups round-robin in source order. *)
@@ -617,6 +688,10 @@ let suite =
       test_address_only_fuzz;
     Alcotest.test_case "address-only: errors match full execution" `Quick
       test_address_only_errors;
+    Alcotest.test_case "set overflow replays the group per access" `Quick
+      test_set_overflow_falls_back;
+    Alcotest.test_case "read-modify-write group settles by line visits"
+      `Quick test_read_modify_write_visits;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_fuzz_all_paths_agree; prop_runchunk_roundtrip ]
