@@ -55,6 +55,11 @@ let () =
    default so CI's replay-mode A/B byte-diff baselines are unchanged. *)
 let tune_flag = ref false
 
+(* Set by --scale and --rate; passed to the scale and sampleerr
+   experiments. *)
+let scale_flag = ref None
+let rate_flag = ref None
+
 let table2_rows = lazy (Stats.Table2.compute ~tune:!tune_flag ())
 
 (* The interpreter hot path is supposed to be allocation-free: trace
@@ -237,8 +242,11 @@ let experiments : (string * (unit -> string)) list =
     ("tracestats", tracestats);
     ("alloc", fun () -> alloc_probe (); "(see stderr)\n");
     ("analytic", analytic_stats);
-    ("scale", fun () -> Stats.Scale.render_scale ());
-    ("sampleerr", fun () -> Stats.Scale.render_err (Lazy.force table2_rows));
+    ("scale",
+     fun () -> Stats.Scale.render_scale ?scale:!scale_flag ?rate:!rate_flag ());
+    ("sampleerr",
+     fun () ->
+       Stats.Scale.render_err ?rate:!rate_flag (Lazy.force table2_rows));
   ]
 
 (* ------------------------------------------------- native kernels ---- *)
@@ -618,7 +626,7 @@ let () =
     | "--scale" :: n :: rest -> (
       match int_of_string_opt n with
       | Some k when k >= 1 ->
-        Stats.Scale.factor := k;
+        scale_flag := Some k;
         strip rest
       | _ ->
         Printf.eprintf "bad --scale value %s (want a positive integer)\n" n;
@@ -629,7 +637,7 @@ let () =
     | "--rate" :: r :: rest -> (
       match float_of_string_opt r with
       | Some v when v > 0.0 && v <= 1.0 ->
-        Locality_sample.Sample.set_rate v;
+        rate_flag := Some v;
         strip rest
       | _ ->
         Printf.eprintf "bad --rate value %s (want a float in (0, 1])\n" r;

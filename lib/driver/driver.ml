@@ -198,7 +198,7 @@ let run_loaded cfg name program =
          happens at all. *)
       let prep p =
         Measure.prepare ?mode:cfg.replay ?rate:cfg.sample_rate
-          ?params:cfg.params ~store:cfg.store p
+          ~configs:cfg.machines ?params:cfg.params ~store:cfg.store p
       in
       let orig = prep program in
       let final =

@@ -298,10 +298,11 @@ let check_analytic ~which p =
       the set-sampling estimator IS the simulator — estimated hits and
       cold equal the exact counts on both reference geometries.
    2. The group fast path is invisible: feeding the stream through
-      [consume_runchunk] (bulk-skipping group descriptors) and feeding
-      every expanded access through [access] produce structurally equal
-      profiles, including under threshold adaptation (tiny budget) and
-      at sub-1.0 rates.
+      [consume_runchunk] (skipping group descriptors to their sampled
+      accesses) and feeding every expanded access through [access]
+      produce structurally equal profiles, including under threshold
+      adaptation (tiny budget) and at sub-1.0 rates down to the served
+      0.01.
    3. Exact tallies stay exact at any rate: [pf_accesses] matches the
       trace's logical record count. *)
 let check_sample ~which p =
@@ -382,7 +383,16 @@ let check_sample ~which p =
                  a.Sample.pf_accesses
                  Trace.(cap.run_records));
           ])
-      [ (1.0, 64, 128, 32); (0.25, 65536, 128, 32); (0.25, 64, 1, 64) ]
+      [
+        (1.0, 64, 128, 32);
+        (0.25, 65536, 128, 32);
+        (0.25, 64, 1, 64);
+        (* the served rate: one sampled set of 128, so the walk skips
+           straight from one visit of that set to the next *)
+        (0.01, 65536, 128, 128);
+        (0.01, 65536, 128, 32);
+        (0.05, 16, 128, 64);
+      ]
   in
   exactness @ equivalence
 

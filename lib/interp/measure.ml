@@ -2,6 +2,7 @@ module Cache = Locality_cachesim.Cache
 module Machine = Locality_cachesim.Machine
 module Obs = Locality_obs.Obs
 module Store = Locality_store.Store
+module Sample = Locality_sample.Sample
 
 type region = {
   accesses : int;
@@ -117,10 +118,14 @@ let mode_tag = function
 let params_tag params =
   String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) params)
 
-let capture_key ?mode ?(params = []) (p : Program.t) =
+(* Every key below takes the canonical program text ready-made, so a
+   prepared program prints once however many keys it derives. *)
+let capture_key_text ~mode ?(params = []) text =
+  Store.key ~kind:"capture" [ mode_tag mode; text; params_tag params ]
+
+let capture_key ?mode ?params (p : Program.t) =
   let mode = match mode with Some m -> m | None -> replay_mode () in
-  Store.key ~kind:"capture"
-    [ mode_tag mode; Pretty.program_to_string p; params_tag params ]
+  capture_key_text ~mode ?params (Pretty.program_to_string p)
 
 let config_tag (c : Cache.config) =
   Printf.sprintf "%s/%d/%d/%d" c.Cache.name c.Cache.size_bytes c.Cache.assoc
@@ -291,26 +296,36 @@ let replay ?(config = Machine.cache1) ?(timing = Machine.default_timing)
    first consults the result store, and only when a result is missing
    is the trace materialised (itself store-backed). On a fully warm
    store a whole table regenerates without interpreting or simulating
-   anything. A [prepared] value memoises its capture and is meant to be
-   used from one domain (each pool work item prepares its own). *)
+   anything. A [prepared] value memoises its capture, its sampled
+   profiles and its program text, and is meant to be used from one
+   domain (each pool work item prepares its own). *)
 
 type prepared = {
   p_program : Program.t;
   p_params : (string * int) list option;
   p_mode : replay_mode;
   p_rate : float option;  (* explicit SHARDS rate; None = ambient *)
+  p_configs : Cache.config list;  (* the geometries it will be replayed on *)
   p_store : Store.t option;
+  p_text : string Lazy.t;  (* canonical program text, for store keys *)
   p_key : string option;
   mutable p_cap : capture option;
+  mutable p_profiles : ((int * int) * Sample.profile) list;
+      (* SHARDS profiles by (line bytes, sets) partition *)
 }
 
-let prepare ?mode ?rate ?params ?(store = Store.default ()) (p : Program.t) =
+let prepare ?mode ?rate ?(configs = []) ?params ?(store = Store.default ())
+    (p : Program.t) =
   let mode = match mode with Some m -> m | None -> replay_mode () in
+  let p_text = lazy (Pretty.program_to_string p) in
   let p_key =
-    Option.map (fun _ -> Store.hex (capture_key ~mode ?params p)) store
+    Option.map
+      (fun _ -> Store.hex (capture_key_text ~mode ?params (Lazy.force p_text)))
+      store
   in
   { p_program = p; p_params = params; p_mode = mode; p_rate = rate;
-    p_store = store; p_key; p_cap = None }
+    p_configs = configs; p_store = store; p_text; p_key; p_cap = None;
+    p_profiles = [] }
 
 let prepared_capture pr =
   match pr.p_cap with
@@ -330,10 +345,10 @@ module Analytic_model = Locality_analytic.Analytic
 (* The analytic result is keyed on everything that determines it —
    program text, parameters, geometry, timing, labels — under its own
    store kind, so estimates never collide with simulated runs. *)
-let analytic_key ?(params = []) ~config ~timing ~labels (p : Program.t) =
+let analytic_key ?(params = []) ~config ~timing ~labels text =
   Store.key ~kind:"analytic"
     [
-      Pretty.program_to_string p;
+      text;
       params_tag params;
       config_tag config;
       timing_tag timing;
@@ -393,7 +408,7 @@ let analytic_prepared ~config ~timing ~optimized_labels pr =
     let k =
       analytic_key
         ?params:pr.p_params ~config ~timing ~labels:optimized_labels
-        pr.p_program
+        (Lazy.force pr.p_text)
     in
     match (Store.get_value st k : run option) with
     | Some r -> Some r
@@ -416,11 +431,11 @@ let analytic_prepared ~config ~timing ~optimized_labels pr =
    re-execution instead of a shared capture, which is the point:
    geometry count is small and bounded, iteration count is not. *)
 
-let stream_key ?(params = []) ~config ~timing ~labels (p : Program.t) =
+let stream_key ?(params = []) ~config ~timing ~labels text =
   Store.key ~kind:"stream"
     [
       "run";
-      Pretty.program_to_string p;
+      text;
       params_tag params;
       config_tag config;
       timing_tag timing;
@@ -492,7 +507,7 @@ let stream_prepared ~config ~timing ~optimized_labels pr =
   | Some st -> (
     let k =
       stream_key ?params:pr.p_params ~config ~timing ~labels:optimized_labels
-        pr.p_program
+        (Lazy.force pr.p_text)
     in
     match (Store.get_value st k : run option) with
     | Some r -> r
@@ -503,8 +518,6 @@ let stream_prepared ~config ~timing ~optimized_labels pr =
 
 (* ------------------------------------------------ sampled mode ------ *)
 
-module Sample = Locality_sample.Sample
-
 (* The SHARDS profile depends on the program, its parameters, the
    sampling rate/seed and the set partition (line size and set count) —
    not the associativity — so one profile (store kind "sample") serves
@@ -514,11 +527,11 @@ module Sample = Locality_sample.Sample
    exact set-associative LRU condition), access and op counts are
    exact. *)
 
-let sample_key ?(params = []) ~rate ~seed ~line_bytes ~sets (p : Program.t) =
+let sample_key ?(params = []) ~rate ~seed ~line_bytes ~sets text =
   Store.key ~kind:"sample"
     [
       "profile";
-      Pretty.program_to_string p;
+      text;
       params_tag params;
       Printf.sprintf "%h" rate;
       string_of_int seed;
@@ -526,31 +539,44 @@ let sample_key ?(params = []) ~rate ~seed ~line_bytes ~sets (p : Program.t) =
       string_of_int sets;
     ]
 
-let sample_profile_compute ~rate ~line_bytes ~sets ?params (p : Program.t) =
+let partition (c : Cache.config) =
+  let line_bytes = c.Cache.line_bytes in
+  (line_bytes, max 1 (c.Cache.size_bytes / (line_bytes * c.Cache.assoc)))
+
+(* One execution feeds a sampler per partition: the samplers are
+   independent consumers of the same chunk stream, so each profile is
+   the one a separate execution would have built. *)
+let sample_profiles_compute ~rate ~parts ?params (p : Program.t) =
+  let commas f l = String.concat "," (List.map (fun x -> string_of_int (f x)) l) in
   Obs.span "sample"
-    ~args:
-      [
-        ("line_bytes", string_of_int line_bytes);
-        ("sets", string_of_int sets);
-      ]
+    ~args:[ ("line_bytes", commas fst parts); ("sets", commas snd parts) ]
     (fun () ->
-      let sampler = Sample.create ~rate ~line_bytes ~sets () in
-      let sink rc = Sample.consume_runchunk sampler rc in
+      let samplers =
+        List.map
+          (fun (line_bytes, sets) -> Sample.create ~rate ~line_bytes ~sets ())
+          parts
+      in
+      let sink rc = List.iter (fun s -> Sample.consume_runchunk s rc) samplers in
       let rb = Trace.run_create ~sink () in
       let res = Fastexec.run_traced_runs ?params rb p in
-      let prof =
-        Sample.profile sampler ~labels:(Trace.run_labels rb)
-          ~ops:res.Fastexec.ops
+      let labels = Trace.run_labels rb in
+      let profs =
+        List.map
+          (fun s -> Sample.profile s ~labels ~ops:res.Fastexec.ops)
+          samplers
       in
       if Obs.enabled () then begin
-        Obs.add_span_arg "accesses" (string_of_int prof.Sample.pf_accesses);
-        Obs.add_span_arg "sampled" (string_of_int prof.Sample.pf_sampled);
-        Obs.counter "sample.accesses" prof.Sample.pf_accesses;
-        Obs.counter "sample.sampled" prof.Sample.pf_sampled;
-        Obs.counter "sample.adaptations" prof.Sample.pf_adaptations;
-        Obs.gauge "sample.rate" prof.Sample.pf_final_rate
+        Obs.add_span_arg "accesses" (commas (fun pf -> pf.Sample.pf_accesses) profs);
+        Obs.add_span_arg "sampled" (commas (fun pf -> pf.Sample.pf_sampled) profs);
+        List.iter
+          (fun pf ->
+            Obs.counter "sample.accesses" pf.Sample.pf_accesses;
+            Obs.counter "sample.sampled" pf.Sample.pf_sampled;
+            Obs.counter "sample.adaptations" pf.Sample.pf_adaptations;
+            Obs.gauge "sample.rate" pf.Sample.pf_final_rate)
+          profs
       end;
-      prof)
+      profs)
 
 let run_of_sample_profile ~config ~timing ~optimized_labels
     (prof : Sample.profile) =
@@ -589,34 +615,61 @@ let run_of_sample_profile ~config ~timing ~optimized_labels
     seconds = Machine.seconds timing ~ops ~hits:whole.hits ~misses;
   }
 
+(* The first sampled replay of a prepared program settles every
+   partition its geometries need: store hits are read, and all the
+   missing profiles come from one execution. *)
+let prepared_profile pr part =
+  match List.assoc_opt part pr.p_profiles with
+  | Some prof -> prof
+  | None ->
+    let rate =
+      match pr.p_rate with Some r -> r | None -> Sample.current_rate ()
+    in
+    let key (line_bytes, sets) =
+      sample_key ?params:pr.p_params ~rate ~seed:0 ~line_bytes ~sets
+        (Lazy.force pr.p_text)
+    in
+    let wanted =
+      List.fold_left
+        (fun acc pt ->
+          if List.mem pt acc || List.mem_assoc pt pr.p_profiles then acc
+          else pt :: acc)
+        [] (List.map partition pr.p_configs @ [ part ])
+      |> List.rev
+    in
+    let stored =
+      List.map
+        (fun pt ->
+          ( pt,
+            Option.bind pr.p_store (fun st ->
+                (Store.get_value st (key pt) : Sample.profile option)) ))
+        wanted
+    in
+    let missing =
+      List.filter_map (fun (pt, v) -> if v = None then Some pt else None) stored
+    in
+    let computed =
+      if missing = [] then []
+      else
+        List.combine missing
+          (sample_profiles_compute ~rate ~parts:missing ?params:pr.p_params
+             pr.p_program)
+    in
+    Option.iter
+      (fun st ->
+        List.iter (fun (pt, prof) -> Store.put_value st (key pt) prof) computed)
+      pr.p_store;
+    pr.p_profiles <-
+      pr.p_profiles
+      @ List.map
+          (fun (pt, v) ->
+            (pt, match v with Some prof -> prof | None -> List.assoc pt computed))
+          stored;
+    List.assoc part pr.p_profiles
+
 let sample_prepared ~config ~timing ~optimized_labels pr =
-  let rate =
-    match pr.p_rate with Some r -> r | None -> Sample.current_rate ()
-  in
-  let line_bytes = config.Cache.line_bytes in
-  let sets =
-    max 1 (config.Cache.size_bytes / (line_bytes * config.Cache.assoc))
-  in
-  let compute () =
-    sample_profile_compute ~rate ~line_bytes ~sets ?params:pr.p_params
-      pr.p_program
-  in
-  let prof =
-    match pr.p_store with
-    | None -> compute ()
-    | Some st -> (
-      let k =
-        sample_key ?params:pr.p_params ~rate ~seed:0 ~line_bytes ~sets
-          pr.p_program
-      in
-      match (Store.get_value st k : Sample.profile option) with
-      | Some p -> p
-      | None ->
-        let p = compute () in
-        Store.put_value st k p;
-        p)
-  in
-  run_of_sample_profile ~config ~timing ~optimized_labels prof
+  run_of_sample_profile ~config ~timing ~optimized_labels
+    (prepared_profile pr (partition config))
 
 let replay_prepared ?(config = Machine.cache1)
     ?(timing = Machine.default_timing) ?(optimized_labels = []) pr =
@@ -695,11 +748,11 @@ let replay_hierarchy ?(l1 = Machine.cache2) ?(l2 = Machine.cache1)
 (* The streaming analog of [replay_hierarchy_compute]: identical chunk
    boundaries into the same two-level simulator, one chunk at a time.
    [Sampled] mode routes here too — hierarchy numbers stay exact. *)
-let stream_hier_key ?(params = []) ~l1 ~l2 (p : Program.t) =
+let stream_hier_key ?(params = []) ~l1 ~l2 text =
   Store.key ~kind:"stream"
     [
       "hier";
-      Pretty.program_to_string p;
+      text;
       params_tag params;
       config_tag l1;
       config_tag l2;
@@ -742,7 +795,9 @@ let replay_hierarchy_prepared ?(l1 = Machine.cache2) ?(l2 = Machine.cache1)
     match pr.p_store with
     | None -> compute ()
     | Some st -> (
-      let k = stream_hier_key ?params:pr.p_params ~l1 ~l2 pr.p_program in
+      let k =
+        stream_hier_key ?params:pr.p_params ~l1 ~l2 (Lazy.force pr.p_text)
+      in
       match (Store.get_value st k : hier_run option) with
       | Some r -> r
       | None ->
@@ -764,8 +819,8 @@ let speedup ?config ?timing ?params ?store original transformed =
   (r1.cycles /. r2.cycles, r1, r2)
 
 let speedup_configs ?timing ?params ?store ~configs original transformed =
-  let p1 = prepare ?params ?store original in
-  let p2 = prepare ?params ?store transformed in
+  let p1 = prepare ~configs ?params ?store original in
+  let p2 = prepare ~configs ?params ?store transformed in
   List.map
     (fun config ->
       let r1 = replay_prepared ~config ?timing p1 in

@@ -59,8 +59,8 @@ type replay_mode = Per_access | Runs | Stream | Sampled | Analytic
     [Sampled] replaces exact simulation with a SHARDS sampled
     reuse-distance profile ({!Locality_sample.Sample}) built from the
     same streaming sink: cache lines are hash-sampled at the rate given
-    to {!prepare} (default [Sample.current_rate ()] — the [--rate] flag
-    / [MEMORIA_SAMPLE_RATE]),
+    to {!prepare} (default [Sample.current_rate ()] —
+    [MEMORIA_SAMPLE_RATE]),
     distances are tracked per cache set, and per-label histograms
     scaled by 1/R estimate hits via the exact set-associative LRU
     condition (scaled same-set distance < ways) — at rate 1.0 the
@@ -68,8 +68,9 @@ type replay_mode = Per_access | Runs | Stream | Sampled | Analytic
     sampling noise. Access and op counts stay exact; hit/cold counts
     are estimates. One profile per (line size, set count) partition is
     built (and store-cached, kind "sample") and serves every geometry
-    sharing it. Hierarchy measurements under [Sampled] use the exact
-    streaming path.
+    sharing it; all the partitions of the geometries given to {!prepare}
+    come from one execution of the program. Hierarchy measurements under
+    [Sampled] use the exact streaming path.
 
     [Analytic] skips tracing entirely: {!replay_prepared} and
     {!measure} ask the closed-form locality model
@@ -147,15 +148,29 @@ type prepared
 val prepare :
   ?mode:replay_mode ->
   ?rate:float ->
+  ?configs:Cache.config list ->
   ?params:(string * int) list ->
   ?store:Store.t option ->
   Program.t ->
   prepared
 (** [rate] is the SHARDS sampling rate used when this prepared program
-    is replayed in [Sampled] mode; it defaults to the ambient
-    {!Locality_sample.Sample.current_rate}[ ()]. Passing it here keeps
+    is replayed in [Sampled] mode; it defaults to
+    {!Locality_sample.Sample.current_rate}[ ()] (the
+    [MEMORIA_SAMPLE_RATE] environment variable). Passing it here keeps
     the rate local to the measurement — concurrent preparations with
-    different rates never interfere. *)
+    different rates never interfere.
+
+    [configs] (default none) names the geometries the program will be
+    replayed on. In [Sampled] mode the first replay settles the profile
+    of every distinct (line size, set count) partition among them and
+    the replayed one: it reads the store's entries, builds all the
+    missing profiles from one execution of the program, and memoises
+    them in the prepared value, so the program runs at most once however
+    many geometries follow. Profiles are identical to one execution per
+    partition. Other modes ignore [configs].
+
+    The canonical program text behind every store key is printed once
+    per prepared value. *)
 
 val prepared_capture : prepared -> capture
 (** Force (and memoise) the capture. *)

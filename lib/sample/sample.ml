@@ -39,13 +39,24 @@ let mix z =
   z
 
 (* Per-set distance tracker: a Fenwick (Bennett-Kruskal) array over
-   this set's sampled-access time. *)
+   this set's sampled-access time, plus the set's most recently touched
+   line, whose re-touch has distance 0 without consulting either. *)
 type set_state = {
   mutable bit : int array;  (* Fenwick over sampled-access time, 1-based *)
   mutable capacity : int;
   mutable time : int;
+  mutable mru : int;  (* line holding the latest mark; -1 when none *)
   last : (int, int) Hashtbl.t;  (* sampled line -> last sampled time *)
 }
+
+(* Distances below this go to a dense per-label float array; larger
+   ones to a per-label table. *)
+let dense_width = 64
+
+(* Placeholder for a set no sampled access has reached yet; the real
+   tracker is made on first use. *)
+let no_state =
+  { bit = [||]; capacity = 0; time = 0; mru = -1; last = Hashtbl.create 1 }
 
 type t = {
   line_shift : int;
@@ -58,6 +69,12 @@ type t = {
   init_threshold : int;
   max_tracked : int;
   set_hashes : int array;  (* sorted set-index hashes; empty for sets = 1 *)
+  span : int;  (* sets * line_bytes: the address period of the set map *)
+  (* Set sampling's verdict per set, rebuilt whenever the threshold
+     moves; meaningless for sets = 1. *)
+  samp : Bytes.t;  (* '\001' where the set is sampled *)
+  mutable nsamp : int;
+  mutable samp_sets : int array;  (* the sampled sets, ascending *)
   mutable threshold : int;
   mutable unit_weight : float;  (* per-observation weight under threshold *)
   mutable gen : int;  (* bumped on every adaptation; invalidates caches *)
@@ -66,7 +83,8 @@ type t = {
   mutable label_accesses : int array;
   mutable label_cold : float array;
   mutable nlabels : int;
-  label_hist : (int, (int, float) Hashtbl.t) Hashtbl.t;
+  mutable dense : float array;  (* label * dense_width + d, d < dense_width *)
+  label_hist : (int, (int, float) Hashtbl.t) Hashtbl.t;  (* d >= dense_width *)
   (* sampled-trace state *)
   mutable sampled : int;
   mutable adaptations : int;
@@ -78,20 +96,29 @@ type t = {
   mutable g_label : int array;
   mutable g_samp : bool array;
   mutable g_cross : int array;
+  mutable g_next : int array;
 }
 
 let rate_env = "MEMORIA_SAMPLE_RATE"
-let rate_override = ref None
-
-let set_rate r = rate_override := Some r
 
 let current_rate () =
-  match !rate_override with
-  | Some r -> r
-  | None -> (
-    match Sys.getenv_opt rate_env with
-    | Some s -> ( try float_of_string s with _ -> 0.01)
-    | None -> 0.01)
+  match Sys.getenv_opt rate_env with
+  | Some s -> ( try float_of_string s with _ -> 0.01)
+  | None -> 0.01
+
+(* Rebuild the set-sampling state from the threshold: the per-set
+   verdict and the sampled-set list. A no-op for line sampling. *)
+let rebuild_sampled t =
+  if t.sets > 1 then begin
+    let on = ref [] in
+    for s = t.sets - 1 downto 0 do
+      let v = mix (s lxor t.seed_mix) land (modulus - 1) < t.threshold in
+      Bytes.unsafe_set t.samp s (if v then '\001' else '\000');
+      if v then on := s :: !on
+    done;
+    t.samp_sets <- Array.of_list !on;
+    t.nsamp <- Array.length t.samp_sets
+  end
 
 let create ?rate ?(seed = 0) ?(max_tracked = 65536) ?(sets = 1) ~line_bytes ()
     =
@@ -143,44 +170,59 @@ let create ?rate ?(seed = 0) ?(max_tracked = 65536) ?(sets = 1) ~line_bytes ()
       (thr, float_of_int sets /. float_of_int !c)
     end
   in
-  {
-    line_shift = shift;
-    line_bytes;
-    sets;
-    set_mask = sets - 1;
-    cfg_rate = Float.min rate 1.0;
-    seed;
-    seed_mix;
-    set_hashes;
-    init_threshold = threshold;
-    max_tracked = max 1 max_tracked;
-    threshold;
-    unit_weight;
-    gen = 0;
-    accesses = 0;
-    label_accesses = Array.make 8 0;
-    label_cold = Array.make 8 0.0;
-    nlabels = 0;
-    label_hist = Hashtbl.create 16;
-    sampled = 0;
-    adaptations = 0;
-    tracked = 0;
-    set_states =
-      Array.init sets (fun _ ->
-          { bit = Array.make 65 0; capacity = 64; time = 0;
-            last = Hashtbl.create 16 });
-    g_addr = Array.make 8 0;
-    g_stride = Array.make 8 0;
-    g_label = Array.make 8 0;
-    g_samp = Array.make 8 false;
-    g_cross = Array.make 8 0;
-  }
+  let t =
+    {
+      line_shift = shift;
+      line_bytes;
+      sets;
+      set_mask = sets - 1;
+      cfg_rate = Float.min rate 1.0;
+      seed;
+      seed_mix;
+      set_hashes;
+      span = sets * line_bytes;
+      samp = Bytes.make sets '\000';
+      nsamp = 0;
+      samp_sets = [||];
+      init_threshold = threshold;
+      max_tracked = max 1 max_tracked;
+      threshold;
+      unit_weight;
+      gen = 0;
+      accesses = 0;
+      label_accesses = Array.make 8 0;
+      label_cold = Array.make 8 0.0;
+      nlabels = 0;
+      dense = Array.make (8 * dense_width) 0.0;
+      label_hist = Hashtbl.create 16;
+      sampled = 0;
+      adaptations = 0;
+      tracked = 0;
+      set_states = Array.make sets no_state;
+      g_addr = Array.make 8 0;
+      g_stride = Array.make 8 0;
+      g_label = Array.make 8 0;
+      g_samp = Array.make 8 false;
+      g_cross = Array.make 8 0;
+      g_next = Array.make 8 0;
+    }
+  in
+  rebuild_sampled t;
+  t
 
 (* The sampling unit: the line itself when fully associative, the
    line's set otherwise (set sampling). *)
 let skey t line = if t.set_mask = 0 then line else line land t.set_mask
 let hash t line = mix (skey t line lxor t.seed_mix) land (modulus - 1)
-let weight t = t.unit_weight
+
+(* Whether [set] is in the set sample; sets > 1 only. *)
+let set_sampled t set = Bytes.unsafe_get t.samp set <> '\000'
+
+(* The sampling verdict for a line: the hash for line sampling, the
+   set's bit (the same hash, precomputed) for set sampling. *)
+let line_sampled t line =
+  if t.set_mask = 0 then hash t line < t.threshold
+  else set_sampled t (line land t.set_mask)
 
 let accesses t = t.accesses
 let sampled t = t.sampled
@@ -190,11 +232,7 @@ let adaptations t = t.adaptations
    threshold is an order statistic, not rate * modulus). *)
 let effective_rate t =
   if t.set_mask = 0 then float_of_int t.threshold /. float_of_int modulus
-  else begin
-    let c = ref 0 in
-    Array.iter (fun h -> if h < t.threshold then incr c) t.set_hashes;
-    float_of_int !c /. float_of_int t.sets
-  end
+  else float_of_int t.nsamp /. float_of_int t.sets
 
 (* ----------------------------------------------- Fenwick tracker --- *)
 
@@ -241,30 +279,55 @@ let next_time s =
   s.time <- s.time + 1;
   s.time
 
+let set_state t set =
+  let s = t.set_states.(set) in
+  if s != no_state then s
+  else begin
+    let s =
+      { bit = Array.make 65 0; capacity = 64; time = 0; mru = -1;
+        last = Hashtbl.create 16 }
+    in
+    t.set_states.(set) <- s;
+    s
+  end
+
 (* ----------------------------------------------- exact tallies ----- *)
 
 let ensure_label t lid =
   if lid >= Array.length t.label_accesses then begin
-    let cap = max (lid + 1) (2 * Array.length t.label_accesses) in
+    let old = Array.length t.label_accesses in
+    let cap = max (lid + 1) (2 * old) in
     let la = Array.make cap 0 and lc = Array.make cap 0.0 in
-    Array.blit t.label_accesses 0 la 0 (Array.length t.label_accesses);
-    Array.blit t.label_cold 0 lc 0 (Array.length t.label_cold);
+    let dn = Array.make (cap * dense_width) 0.0 in
+    Array.blit t.label_accesses 0 la 0 old;
+    Array.blit t.label_cold 0 lc 0 old;
+    Array.blit t.dense 0 dn 0 (old * dense_width);
     t.label_accesses <- la;
-    t.label_cold <- lc
+    t.label_cold <- lc;
+    t.dense <- dn
   end;
   if lid >= t.nlabels then t.nlabels <- lid + 1
 
+(* Each (label, distance) cell is its own accumulator, so a dense cell
+   sums its weights in the same order a table entry would. Weights are
+   positive: a zero cell was never observed. *)
 let add_hist t label d w =
-  let h =
-    match Hashtbl.find_opt t.label_hist label with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 32 in
-      Hashtbl.replace t.label_hist label h;
-      h
-  in
-  let prev = match Hashtbl.find_opt h d with Some w -> w | None -> 0.0 in
-  Hashtbl.replace h d (prev +. w)
+  if d < dense_width then begin
+    let i = (label * dense_width) + d in
+    Array.unsafe_set t.dense i (Array.unsafe_get t.dense i +. w)
+  end
+  else begin
+    let h =
+      match Hashtbl.find_opt t.label_hist label with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 32 in
+        Hashtbl.replace t.label_hist label h;
+        h
+    in
+    let prev = match Hashtbl.find_opt h d with Some w -> w | None -> 0.0 in
+    Hashtbl.replace h d (prev +. w)
+  end
 
 (* ----------------------------------------------- sampled events ---- *)
 
@@ -281,15 +344,12 @@ let shrink_threshold t =
     end
     else false
   else begin
-    let c = ref 0 in
-    Array.iter (fun h -> if h < t.threshold then incr c) t.set_hashes;
-    let k = !c / 2 in
+    let k = t.nsamp / 2 in
     if k < 1 then false
     else begin
       t.threshold <- t.set_hashes.(k - 1) + 1;
-      let c = ref 0 in
-      Array.iter (fun h -> if h < t.threshold then incr c) t.set_hashes;
-      t.unit_weight <- float_of_int t.sets /. float_of_int !c;
+      rebuild_sampled t;
+      t.unit_weight <- float_of_int t.sets /. float_of_int t.nsamp;
       true
     end
   end
@@ -299,44 +359,56 @@ let adapt t =
   t.gen <- t.gen + 1;
   Array.iter
     (fun s ->
-      let evict =
-        Hashtbl.fold
-          (fun line tm acc ->
-            if hash t line >= t.threshold then (line, tm) :: acc else acc)
-          s.last []
-      in
-      List.iter
-        (fun (line, tm) ->
-          bit_add s tm (-1);
-          Hashtbl.remove s.last line;
-          t.tracked <- t.tracked - 1)
-        evict)
+      if s != no_state then begin
+        let evict =
+          Hashtbl.fold
+            (fun line tm acc ->
+              if line_sampled t line then acc else (line, tm) :: acc)
+            s.last []
+        in
+        List.iter
+          (fun (line, tm) ->
+            bit_add s tm (-1);
+            Hashtbl.remove s.last line;
+            t.tracked <- t.tracked - 1)
+          evict;
+        if not (Hashtbl.mem s.last s.mru) then s.mru <- -1
+      end)
     t.set_states
 
 (* One access to a currently-sampled line. The caller has already
-   checked hash < threshold and bumped the exact tallies. *)
+   checked the sampling verdict and bumped the exact tallies.
+
+   A re-touch of the set's most recent line has distance 0 (no other
+   line of the set intervened) and leaves the set's recency order as it
+   was, so it only records the observation; the budget check still runs,
+   since an earlier shrink may have left the sample over budget. *)
 let sampled_event t ~label ~line =
   t.sampled <- t.sampled + 1;
-  let w = weight t in
-  let s = t.set_states.(line land t.set_mask) in
-  (match Hashtbl.find_opt s.last line with
-  | Some t_old ->
-    let d = Hashtbl.length s.last - bit_sum s t_old in
-    (* Line sampling subsamples the distance, so rescale by 1/R; set
-       sampling tracks every same-set line, so [d] is already exact. *)
-    let scaled =
-      if t.set_mask = 0 then int_of_float ((float_of_int d *. w) +. 0.5)
-      else d
-    in
-    add_hist t label scaled w;
-    bit_add s t_old (-1);
-    Hashtbl.remove s.last line;
-    t.tracked <- t.tracked - 1
-  | None -> t.label_cold.(label) <- t.label_cold.(label) +. w);
-  let tm = next_time s in
-  Hashtbl.replace s.last line tm;
-  bit_add s tm 1;
-  t.tracked <- t.tracked + 1;
+  let w = t.unit_weight in
+  let s = set_state t (line land t.set_mask) in
+  if line = s.mru then add_hist t label 0 w
+  else begin
+    (match Hashtbl.find_opt s.last line with
+    | Some t_old ->
+      let d = Hashtbl.length s.last - bit_sum s t_old in
+      (* Line sampling subsamples the distance, so rescale by 1/R; set
+         sampling tracks every same-set line, so [d] is already exact. *)
+      let scaled =
+        if t.set_mask = 0 then int_of_float ((float_of_int d *. w) +. 0.5)
+        else d
+      in
+      add_hist t label scaled w;
+      bit_add s t_old (-1);
+      Hashtbl.remove s.last line;
+      t.tracked <- t.tracked - 1
+    | None -> t.label_cold.(label) <- t.label_cold.(label) +. w);
+    let tm = next_time s in
+    Hashtbl.replace s.last line tm;
+    bit_add s tm 1;
+    s.mru <- line;
+    t.tracked <- t.tracked + 1
+  end;
   if t.tracked > t.max_tracked && shrink_threshold t then adapt t
 
 let access t ~label ~addr =
@@ -344,7 +416,28 @@ let access t ~label ~addr =
   ensure_label t label;
   t.label_accesses.(label) <- t.label_accesses.(label) + 1;
   let line = addr lsr t.line_shift in
-  if hash t line < t.threshold then sampled_event t ~label ~line
+  if line_sampled t line then sampled_event t ~label ~line
+
+(* ----------------------------------------------- modular search ---- *)
+
+(* Least x >= 0 with l <= (a * x) mod m <= r, for 0 <= a < m and
+   0 <= l <= r < m; max_int when there is none. Euclid-style: if the
+   first lap of multiples of [a] does not land in [l, r], a hit after
+   y wraps means some multiple of [a] lies in [l + m*y, r + m*y], which
+   is the same problem for (m mod a) modulo a with the interval
+   reflected; the least y gives the least x. O(log m) steps. *)
+let rec first_hit a m l r =
+  if l = 0 then 0
+  else if a = 0 then max_int
+  else begin
+    let x = (l + a - 1) / a in
+    if a * x <= r then x
+    else begin
+      (* [l, r] holds no multiple of [a], so 0 < l mod a <= r mod a. *)
+      let y = first_hit (m mod a) a (a - (r mod a)) (a - (l mod a)) in
+      if y = max_int then max_int else (l + (m * y) + a - 1) / a
+    end
+  end
 
 (* ----------------------------------------------- group fast path --- *)
 
@@ -355,38 +448,92 @@ let ensure_scratch t n =
     t.g_stride <- Array.make cap 0;
     t.g_label <- Array.make cap 0;
     t.g_samp <- Array.make cap false;
-    t.g_cross <- Array.make cap 0
+    t.g_cross <- Array.make cap 0;
+    t.g_next <- Array.make cap 0
   end
 
-(* Consume one group descriptor (trip iterations round-robin over n
-   strided references) with the same observable effect as feeding every
-   expanded access through [access]:
+(* Set sampling: the least k in [0, rem) at which a reference at byte
+   address [a] with byte stride [s] touches a line of a sampled set, or
+   max_int. Modulo the set map's period [span], the reference's k-th
+   address is a0 + k * s and a sampled set is one line's byte range, so
+   each sampled set costs one modular search; for a sub-line stride,
+   which enters every line in turn, the search ends at its first
+   division. *)
+let first_sampled t a s rem =
+  let shift = t.line_shift in
+  if set_sampled t ((a lsr shift) land t.set_mask) then 0
+  else begin
+    let m = t.span in
+    let sm = s land (m - 1) in
+    if sm = 0 then max_int (* the reference never leaves its set *)
+    else begin
+      (* [a] lies outside every sampled range, so [l, l + line_bytes - 1]
+         stays inside [0, m). *)
+      let a0 = a land (m - 1) in
+      let best = ref rem in
+      for i = 0 to t.nsamp - 1 do
+        let l = ((t.samp_sets.(i) lsl shift) - a0) land (m - 1) in
+        let k = first_hit sm m l (l + t.line_bytes - 1) in
+        if k < !best then best := k
+      done;
+      if !best < rem then !best else max_int
+    end
+  end
 
-   - exact tallies are bulk counts (trip per reference);
-   - each reference caches whether its current line is sampled and the
-     iteration at which it next crosses a line boundary;
-   - while no reference sits in a sampled line, nothing can change the
-     sampler state, so the walk jumps to the earliest crossing;
-   - while any does, iterations are processed per access in reference
-     order (exactly the replay interleaving).
+(* The iteration (absolute, from [t0]) of reference [j]'s next access
+   to a sampled set within the group's [trip], or max_int. *)
+let next_event t j t0 trip =
+  if t0 >= trip then max_int
+  else begin
+    let s = t.g_stride.(j) in
+    let k = first_sampled t (t.g_addr.(j) + (t0 * s)) s (trip - t0) in
+    if k = max_int then max_int else t0 + k
+  end
 
-   The threshold only ever decreases, so a cached "unsampled" verdict
-   can never go stale; cached "sampled" verdicts are revalidated via the
+(* Set sampling: only iterations at which some reference touches a
+   sampled set can change the sampler, so each reference carries the
+   iteration of its next such access, and the walk goes from one to the
+   next, processing that iteration's sampled accesses in reference order
+   (the replay interleaving). An adaptation only removes sets from the
+   sample, so a carried iteration stays a lower bound: it is re-checked
+   against the current verdict when reached. *)
+let consume_group_sets t ~trip ~n =
+  for j = 0 to n - 1 do
+    t.g_next.(j) <- next_event t j 0 trip
+  done;
+  let fin = ref false in
+  while not !fin do
+    let tc = ref max_int in
+    for j = 0 to n - 1 do
+      if t.g_next.(j) < !tc then tc := t.g_next.(j)
+    done;
+    let tc = !tc in
+    if tc = max_int then fin := true
+    else begin
+      for j = 0 to n - 1 do
+        if t.g_next.(j) = tc then begin
+          let line = (t.g_addr.(j) + (tc * t.g_stride.(j))) lsr t.line_shift in
+          if set_sampled t (line land t.set_mask) then
+            sampled_event t ~label:t.g_label.(j) ~line
+        end
+      done;
+      for j = 0 to n - 1 do
+        if t.g_next.(j) = tc then t.g_next.(j) <- next_event t j (tc + 1) trip
+      done
+    end
+  done
+
+(* Line sampling: each reference caches whether its current line is
+   sampled and the iteration at which it next crosses a line boundary;
+   while no reference sits in a sampled line, nothing can change the
+   sampler state, so the walk jumps to the earliest crossing; while any
+   does, iterations are processed per access in reference order. The
+   threshold only ever decreases, so a cached "unsampled" verdict can
+   never go stale; cached "sampled" verdicts are revalidated via the
    generation counter whenever an event adapts the threshold. *)
-let consume_group t ~trip ~n ~data ~off =
-  ensure_scratch t n;
+let consume_group_lines t ~trip ~n =
   let shift = t.line_shift in
   let lb = t.line_bytes in
-  for j = 0 to n - 1 do
-    let r = data.(off + (2 * j)) in
-    let label = Chunk.label r in
-    ensure_label t label;
-    t.label_accesses.(label) <- t.label_accesses.(label) + trip;
-    t.g_label.(j) <- label;
-    t.g_addr.(j) <- Chunk.addr r;
-    t.g_stride.(j) <- data.(off + (2 * j) + 1)
-  done;
-  t.accesses <- t.accesses + (trip * n);
   let cross_of j tc =
     let s = t.g_stride.(j) in
     if s = 0 then max_int
@@ -456,6 +603,26 @@ let consume_group t ~trip ~n ~data ~off =
     end
   done
 
+(* Consume one group descriptor (trip iterations round-robin over n
+   strided references) with the same observable effect as feeding every
+   expanded access through [access]. Exact tallies are bulk counts (trip
+   per reference); accesses to unsampled units touch nothing else, so
+   the walk visits only the sampled ones. *)
+let consume_group t ~trip ~n ~data ~off =
+  ensure_scratch t n;
+  for j = 0 to n - 1 do
+    let r = data.(off + (2 * j)) in
+    let label = Chunk.label r in
+    ensure_label t label;
+    t.label_accesses.(label) <- t.label_accesses.(label) + trip;
+    t.g_label.(j) <- label;
+    t.g_addr.(j) <- Chunk.addr r;
+    t.g_stride.(j) <- data.(off + (2 * j) + 1)
+  done;
+  t.accesses <- t.accesses + (trip * n);
+  if t.set_mask = 0 then consume_group_lines t ~trip ~n
+  else consume_group_sets t ~trip ~n
+
 let consume_runchunk t (rc : Runchunk.t) =
   let data = rc.Runchunk.data in
   let len = rc.Runchunk.len in
@@ -474,7 +641,7 @@ let consume_runchunk t (rc : Runchunk.t) =
       ensure_label t label;
       t.label_accesses.(label) <- t.label_accesses.(label) + 1;
       let line = Chunk.addr w lsr t.line_shift in
-      if hash t line < t.threshold then sampled_event t ~label ~line;
+      if line_sampled t line then sampled_event t ~label ~line;
       incr i
     end
   done
@@ -503,13 +670,20 @@ let profile t ~labels ~ops =
     Array.init nl (fun i -> if i < Array.length a then a.(i) else fill)
   in
   let hist lid =
-    match Hashtbl.find_opt t.label_hist lid with
-    | None -> [||]
-    | Some h ->
-      let l = Hashtbl.fold (fun d w acc -> (d, w) :: acc) h [] in
-      let a = Array.of_list l in
-      Array.sort (fun (a, _) (b, _) -> compare (a : int) b) a;
-      a
+    let far =
+      match Hashtbl.find_opt t.label_hist lid with
+      | None -> []
+      | Some h -> Hashtbl.fold (fun d w acc -> (d, w) :: acc) h []
+    in
+    let near = ref [] in
+    if lid < t.nlabels then
+      for d = dense_width - 1 downto 0 do
+        let w = t.dense.((lid * dense_width) + d) in
+        if w <> 0.0 then near := (d, w) :: !near
+      done;
+    let a = Array.of_list (!near @ far) in
+    Array.sort (fun (a, _) (b, _) -> compare (a : int) b) a;
+    a
   in
   {
     pf_line_bytes = t.line_bytes;

@@ -24,13 +24,17 @@
     were recorded at), so memory stays O(max_tracked) at any trace
     length and the rate adapts to the footprint.
 
-    The profiler consumes the v2 run-compressed trace stream natively:
-    unsampled accesses are exact no-ops on the sampler state, so a group
-    descriptor whose references all sit in unsampled lines is skipped in
-    bulk to the earliest line-boundary crossing — the result is exactly
-    what per-access feeding would have produced, at a fraction of the
-    work. Everything is deterministic: the hash is a fixed integer mixer
-    (keyed by [seed]), so equal inputs give bit-equal profiles. *)
+    The profiler consumes the v2 run-compressed trace stream natively
+    and does work in proportion to its sample: unsampled accesses are
+    exact no-ops on the sampler state, so with set sampling each
+    reference of a group descriptor jumps straight to the next iteration
+    at which it touches a sampled set — computed from its base and
+    stride by one modular search per sampled set — and line sampling
+    jumps to the earliest line-boundary crossing. A re-touch of a set's
+    most recent line is recorded without touching the distance tracker.
+    The result is bit-identical to per-access feeding. Everything is
+    deterministic: the hash is a fixed integer mixer (keyed by [seed]),
+    so equal inputs give bit-equal profiles. *)
 
 type t
 
@@ -59,9 +63,11 @@ val access : t -> label:int -> addr:int -> unit
 (** Feed one access (byte address, interned statement-label id). *)
 
 val consume_runchunk : t -> Locality_cachesim.Runchunk.t -> unit
-(** Feed a v2 trace block, group descriptors consumed with the bulk-skip
-    fast path. Equivalent to feeding every expanded access through
-    {!access} in replay order. *)
+(** Feed a v2 trace block. A group descriptor costs work in proportion
+    to its accesses to sampled sets (set sampling) or to its line
+    crossings (line sampling), not to its length; the profile is
+    bit-identical to feeding every expanded access through {!access} in
+    replay order, adaptations included. *)
 
 val accesses : t -> int
 (** Exact accesses seen (groups expanded). *)
@@ -116,13 +122,21 @@ val hits_under : profile -> int -> ways:int -> float
 val merged_histogram : profile -> (int * float) list
 (** All labels merged: (scaled distance, total weight), sorted. *)
 
+val first_hit : int -> int -> int -> int -> int
+(** [first_hit a m l r] is the least [x >= 0] with
+    [l <= (a * x) mod m <= r], or [max_int] when there is none, for
+    [0 <= a < m] and [0 <= l <= r < m]; O(log m). The modular search
+    behind the set-sampling skip ([a] a reference's stride and [[l, r]]
+    a sampled set's byte range, both relative to the reference's address,
+    modulo sets × line bytes); exposed for tests. *)
+
 (** {2 Rate configuration}
 
-    The ambient rate used when [create] is not given one explicitly:
-    a process-wide override (the [--rate] CLI flag) wins over the
+    The rate used when [create] is not given one explicitly: the
     [MEMORIA_SAMPLE_RATE] environment variable, which defaults to
-    0.01. *)
+    0.01. Callers with a rate of their own (the [--rate] CLI flags, a
+    request's [sample_rate]) pass it to {!create} or
+    [Measure.prepare]. *)
 
 val rate_env : string
-val set_rate : float -> unit
 val current_rate : unit -> float

@@ -9,8 +9,6 @@ module Cache = Locality_cachesim.Cache
 module Sample = Locality_sample.Sample
 module S = Locality_suite
 
-let factor = ref 4
-
 (* 2-D kernels whose footprint grows quadratically with --scale: big
    enough to make the exact modes work for their answer, regular enough
    that the sampled estimate is meaningful. *)
@@ -29,14 +27,17 @@ let cache_short (c : Cache.config) =
   | Some i -> String.sub c.Cache.name 0 i
   | None -> c.Cache.name
 
-let render_scale () =
+(* The rate a sampled measurement without an explicit one uses. *)
+let shown_rate = function Some r -> r | None -> Sample.current_rate ()
+
+let render_scale ?(scale = 4) ?rate () =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let f = !factor in
+  let f = scale in
   line
     "Replay modes on scaled geometries (n=32, scale=%d -> effective n=%d, \
      rate=%g)"
-    f (32 * f) (Sample.current_rate ());
+    f (32 * f) (shown_rate rate);
   line "%-10s %-8s %-12s %9s %9s %9s %10s" "kernel" "cache" "version"
     "runs%" "stream%" "sample%" "sample-err";
   let mismatches = ref 0 in
@@ -51,7 +52,7 @@ let render_scale () =
            row must not abort the whole sweep — it is reported in place
            and the remaining kernels still run. *)
         let req =
-          Request.make ~n:32 ~scale:f ~replay:mode
+          Request.make ~n:32 ~scale:f ~replay:mode ?sample_rate:rate
             ~machines:(List.map Request.machine_of_config caches)
             (Request.Kernel kernel)
         in
@@ -99,15 +100,15 @@ let render_scale () =
   line "sample max-err=%.2fpt" !max_err;
   Buffer.contents buf
 
-let render_err (rows : Table2.row list) =
+let render_err ?rate (rows : Table2.row list) =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let params = [ ("N", 32) ] in
-  let rate = Sample.current_rate () in
+  let shown = shown_rate rate in
   line
     "Sampled vs exact miss rates (Table 4 workload, N=32, both versions, \
      cache1+cache2, rate=%g)"
-    rate;
+    shown;
   line "%-10s %-8s %8s %8s %6s   %8s %8s %6s" "program" "cache" "exact%"
     "sample%" "err" "exact%" "sample%" "err";
   line "%-10s %-8s %-26s  %-26s" "" "" "(original)" "(transformed)";
@@ -121,7 +122,7 @@ let render_err (rows : Table2.row list) =
           Measure.prepare ~mode:Measure.Runs ~params p
         in
         let sampled p =
-          Measure.prepare ~mode:Measure.Sampled ~params p
+          Measure.prepare ~mode:Measure.Sampled ?rate ~configs:caches ~params p
         in
         let eo = exact r.Table2.original
         and et = exact r.Table2.transformed
@@ -148,7 +149,7 @@ let render_err (rows : Table2.row list) =
   let mean = if !n_err = 0 then 0.0 else !sum_err /. float_of_int !n_err in
   let bound = 1.0 in
   line "sample rate=%g cells=%d mean-err=%.3fpt max-err=%.3fpt bound=%.1fpt"
-    rate !n_err mean !max_err bound;
+    shown !n_err mean !max_err bound;
   (* CI gates max error at rate 1.0 (adaptive-budget mode: exact until a
      program's footprint exceeds max_tracked, so the bound checks the
      estimator plus SHARDS-adj adaptation) and mean error at sampling
